@@ -41,7 +41,6 @@ from .interferometer import (
     Interferogram,
     InterferometerConfig,
     NoiseModel,
-    Sample,
     SpectralWindow,
     min_pixels,
     path_length,
@@ -92,7 +91,6 @@ __all__ = [
     "PlanRun",
     "PrecisionExceeded",
     "RescaledInterferogram",
-    "Sample",
     "SpectralWindow",
     "SumSpec",
     "UnderSampled",

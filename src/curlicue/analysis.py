@@ -23,12 +23,12 @@ DEFAULT_THRESHOLD = 0.7
 DEFAULT_EPSILON = 0.05
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RescaledInterferogram:
-    """The same intensities relabeled on the dimensionless xi_n = n*lambda/x axis."""
+    """The same intensities relabeled on the xi_n = n*lambda/x axis: (N, 2) rows of (xi_n, intensity)."""
 
     n: int
-    points: tuple[tuple[float, float], ...]
+    points: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -61,11 +61,8 @@ def _checked_target(n, minimum: int) -> int:
 def rescale(ig: Interferogram, n: int) -> RescaledInterferogram:
     """Relabel the wavelength axis as xi_n = n*lambda/x; intensities untouched."""
     _checked_target(n, 2)
-    x = ig.displacement_unit_nm
-    return RescaledInterferogram(
-        n=n,
-        points=tuple((n * s.wavelength_nm / x, s.intensity) for s in ig.samples),
-    )
+    xi = n * ig.wavelengths() / ig.displacement_unit_nm
+    return RescaledInterferogram(n=n, points=np.column_stack((xi, ig.intensities())))
 
 
 def _ratio_bounds(x_nm: float, lam_lo: float, lam_hi: float) -> tuple[int, int]:
@@ -177,7 +174,7 @@ def extract_factors(
     """
     _checked_target(n, 4)
     peaks = detect_peaks(ig, threshold)
-    span = (ig.samples[0].wavelength_nm, ig.samples[-1].wavelength_nm)
+    span = tuple(ig.wavelengths()[[0, -1]].tolist())  # Python floats keep _report scalar
     return _report(peaks, ig.displacement_unit_nm, span, n, threshold, epsilon)
 
 
@@ -192,6 +189,6 @@ def scan_targets(
     if not target_list:
         raise ValueError("targets must be nonempty")
     peaks = detect_peaks(ig, threshold)
-    span = (ig.samples[0].wavelength_nm, ig.samples[-1].wavelength_nm)
+    span = tuple(ig.wavelengths()[[0, -1]].tolist())
     x = ig.displacement_unit_nm
     return [_report(peaks, x, span, n, threshold, epsilon) for n in target_list]

@@ -12,10 +12,8 @@ any r.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -23,11 +21,9 @@ from .errors import IndexOutOfRange, UnderSampled
 from .expsum import SumSpec, main_lobe_halfwidth
 
 GENERATOR_VERSION = "curlicue-sim/1"
-THREADS_ENV_VAR = "CURLICUE_THREADS"
 
-# Pixels are processed in fixed-size blocks so the worker schedule can never
-# influence the arithmetic: thread count only changes who computes a block,
-# not what the block contains.
+# Pixels are processed in fixed-size blocks, one after another, so the
+# kernel's complex temporaries stay cache-sized instead of spanning the grid.
 _GRID_BLOCK = 8192
 
 _PURPOSE_MIRROR = 1
@@ -113,39 +109,50 @@ class NoiseModel:
                 raise ValueError(f"arm weights must sum to 1 within 1e-12, got sum {sum(weights)!r}")
 
 
-class Sample(NamedTuple):
-    wavelength_nm: float
-    intensity: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Interferogram:
-    """A recorded or simulated spectrum: intensity versus wavelength at fixed x."""
+    """A recorded or simulated spectrum: intensity versus wavelength at fixed x.
+
+    samples is a read-only (N, 2) float64 copy of the given rows: wavelength (nm), intensity.
+    """
 
     displacement_unit_nm: float
     sum_spec: SumSpec
-    samples: tuple[Sample, ...]
+    samples: np.ndarray
     provenance: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        samples = self.samples
-        if not (isinstance(samples, tuple) and all(type(s) is Sample for s in samples)):
-            samples = tuple(Sample(float(w), float(i)) for w, i in samples)
-        object.__setattr__(self, "samples", samples)
+        x = self.displacement_unit_nm
+        if not (isinstance(x, (int, float)) and math.isfinite(x) and x > 0):
+            raise ValueError(f"displacement_unit_nm must be a positive finite number, got {x!r}")
+        samples = np.array(self.samples, dtype=np.float64)
+        if samples.ndim != 2 or samples.shape[1] != 2:
+            raise ValueError(f"samples must be an N x 2 array, got shape {samples.shape}")
         if len(samples) < 2:
             raise ValueError("an interferogram needs at least 2 samples")
-        lam = self.wavelengths()
-        inten = self.intensities()
+        lam, inten = samples.T
         if not (np.all(np.isfinite(lam)) and np.all(np.diff(lam) > 0)):
             raise ValueError("sample wavelengths must be finite and strictly increasing")
         if not (np.all(np.isfinite(inten)) and np.all(inten >= 0)):
             raise ValueError("intensities must be finite and >= 0")
+        samples.flags.writeable = False
+        object.__setattr__(self, "samples", samples)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Interferogram):
+            return NotImplemented
+        return (
+            self.displacement_unit_nm == other.displacement_unit_nm
+            and self.sum_spec == other.sum_spec
+            and self.provenance == other.provenance
+            and np.array_equal(self.samples, other.samples)
+        )
 
     def wavelengths(self) -> np.ndarray:
-        return np.fromiter((s[0] for s in self.samples), np.float64, len(self.samples))
+        return self.samples[:, 0]
 
     def intensities(self) -> np.ndarray:
-        return np.fromiter((s[1] for s in self.samples), np.float64, len(self.samples))
+        return self.samples[:, 1]
 
 
 def path_length(config: InterferometerConfig, m: int) -> float:
@@ -174,23 +181,12 @@ def _stream(seed: int, purpose: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _threads_from_env() -> int:
-    raw = os.environ.get(THREADS_ENV_VAR)
-    if raw is None:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def simulate(
     config: InterferometerConfig,
     window: SpectralWindow,
     noise: Optional[NoiseModel] = None,
     *,
     allow_undersampled: bool = False,
-    threads: Optional[int] = None,
 ) -> Interferogram:
     """Sample the interferogram on the window's pixel grid.
 
@@ -198,9 +194,7 @@ def simulate(
     sum intensity at x/lambda_j.  With one, static per-arm placement errors,
     amplitude weights, and per-pixel detector noise (clipped to the valid
     intensity band) apply on top.  The same config, window, and noise model
-    (seed included) always produce identical output, regardless of thread
-    count; CURLICUE_THREADS caps internal parallelism when `threads` is not
-    given.
+    (seed included) always produce identical output.
     """
     required = min_pixels(config, window)
     if window.pixel_count < required and not allow_undersampled:
@@ -233,7 +227,10 @@ def simulate(
         )
         ceiling = 1.0 + 5.0 * noise.detector_sigma
 
-    def compute_block(block: slice) -> np.ndarray:
+    samples = np.empty((window.pixel_count, 2))
+    samples[:, 0] = lam
+    for start in range(0, window.pixel_count, _GRID_BLOCK):
+        block = slice(start, start + _GRID_BLOCK)
         lam_b = lam[block]
         ratio = config.displacement_unit_nm / lam_b
         tau = ratio - np.round(ratio)
@@ -244,20 +241,8 @@ def simulate(
             acc += w * np.exp((2j * math.pi) * u)
         values = acc.real**2 + acc.imag**2
         if detector is not None:
-            values = values + detector[block]
-        return np.clip(values, 0.0, ceiling)
-
-    blocks = [
-        slice(start, min(start + _GRID_BLOCK, window.pixel_count))
-        for start in range(0, window.pixel_count, _GRID_BLOCK)
-    ]
-    workers = threads if threads is not None else _threads_from_env()
-    if workers > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(compute_block, blocks))
-    else:
-        parts = [compute_block(b) for b in blocks]
-    inten = np.concatenate(parts)
+            values += detector[block]
+        np.clip(values, 0.0, ceiling, out=samples[block, 1])
 
     provenance = {
         "r_nm": repr(float(config.reference_length_nm)),
@@ -271,7 +256,6 @@ def simulate(
         ),
         "generator": GENERATOR_VERSION,
     }
-    samples = tuple(map(Sample, lam.tolist(), inten.tolist()))
     return Interferogram(
         displacement_unit_nm=config.displacement_unit_nm,
         sum_spec=spec,

@@ -22,6 +22,8 @@ from __future__ import annotations
 import os
 from typing import Union
 
+import numpy as np
+
 from .errors import FileFormatError
 from .expsum import SumSpec
 from .interferometer import Interferogram
@@ -45,9 +47,24 @@ def dumps_interferogram(ig: Interferogram) -> str:
         if key not in _ORDERED_PROVENANCE:
             lines.append(f"# {key}={ig.provenance[key]}")
     lines.append(_COLUMNS)
-    for s in ig.samples:
-        lines.append(f"{s.wavelength_nm!r},{s.intensity!r}")
+    lines += [f"{w!r},{i!r}" for w, i in zip(ig.wavelengths().tolist(), ig.intensities().tolist())]
     return "\n".join(lines) + "\n"
+
+
+def _parse_rows(lines: list[str], first: int) -> np.ndarray:
+    """Row-by-row parse of the data block, naming the first bad line in its error."""
+    samples = []
+    for lineno, row in enumerate(lines[first:], start=first + 1):
+        if not row.strip():
+            continue
+        parts = row.split(",")
+        if len(parts) != 2:
+            raise FileFormatError(f"line {lineno}: expected 2 columns, got {len(parts)}")
+        try:
+            samples.append((float(parts[0]), float(parts[1])))
+        except ValueError:
+            raise FileFormatError(f"line {lineno}: non-numeric data {row!r}") from None
+    return np.array(samples, dtype=np.float64).reshape(-1, 2)
 
 
 def loads_interferogram(text: str) -> Interferogram:
@@ -66,17 +83,13 @@ def loads_interferogram(text: str) -> Interferogram:
         i += 1
     if i >= len(lines) or lines[i].strip() != _COLUMNS:
         raise FileFormatError(f"expected column header {_COLUMNS!r} after the header block")
-    samples = []
-    for lineno, row in enumerate(lines[i + 1 :], start=i + 2):
-        if not row.strip():
-            continue
-        parts = row.split(",")
-        if len(parts) != 2:
-            raise FileFormatError(f"line {lineno}: expected 2 columns, got {len(parts)}")
-        try:
-            samples.append((float(parts[0]), float(parts[1])))
-        except ValueError:
-            raise FileFormatError(f"line {lineno}: non-numeric data {row!r}") from None
+    rows = list(filter(str.strip, lines[i + 1 :]))
+    try:
+        if any(row.count(",") != 1 for row in rows):
+            raise ValueError("not two columns per row")
+        samples = np.array(",".join(rows).split(","), dtype=np.float64).reshape(-1, 2)
+    except ValueError:
+        samples = _parse_rows(lines, i + 1)
     for key in _CORE_KEYS:
         if key not in header:
             raise FileFormatError(f"missing required header key {key!r}")
@@ -87,7 +100,7 @@ def loads_interferogram(text: str) -> Interferogram:
         raise FileFormatError(f"bad header value: {exc}") from None
     provenance = {k: v for k, v in header.items() if k not in _CORE_KEYS}
     try:
-        return Interferogram(x_nm, spec, tuple(samples), provenance)
+        return Interferogram(x_nm, spec, samples, provenance)
     except ValueError as exc:
         raise FileFormatError(str(exc)) from None
 

@@ -33,9 +33,10 @@ def interferogram_svg(ig: Interferogram, targets: Sequence[int] = ()) -> str:
     if len(targets) > 2:
         raise ValueError("at most two rescaled-axis targets are supported")
 
-    lam0 = ig.samples[0].wavelength_nm
-    lam1 = ig.samples[-1].wavelength_nm
-    y_max = max(1.0, max(s.intensity for s in ig.samples))
+    wavelengths = ig.wavelengths()
+    intensities = ig.intensities()
+    lam0, lam1 = wavelengths[[0, -1]].tolist()
+    y_max = max(1.0, float(intensities.max()))
     top = 60 if len(targets) >= 2 else 28
     bottom = 96 if targets else 56
     height = _PLOT_H + top + bottom
@@ -91,10 +92,10 @@ def interferogram_svg(ig: Interferogram, targets: Sequence[int] = ()) -> str:
         f'fill="{_AXIS_COLOR}">wavelength (nm)</text>'
     )
 
-    # data series
-    points = " ".join(
-        f"{_dev(x_dev(s.wavelength_nm))},{_dev(y_dev(s.intensity))}" for s in ig.samples
-    )
+    # data series: x_dev and y_dev over whole columns, same operation order
+    xs = _LEFT + (wavelengths - lam0) / (lam1 - lam0) * plot_w
+    ys = top + (1.0 - intensities / y_max) * _PLOT_H
+    points = " ".join(map("{:.2f},{:.2f}".format, xs.tolist(), ys.tolist()))
     out.append(
         f'<polyline points="{points}" fill="none" stroke="{_LINE_COLOR}" stroke-width="1"/>'
     )

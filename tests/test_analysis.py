@@ -48,9 +48,11 @@ class TestRescale:
         n = 1308567
         scaled = rescale(demo_interferogram, n)
         x = demo_interferogram.displacement_unit_nm
-        for (xi, inten), s in zip(scaled.points, demo_interferogram.samples):
-            assert inten == s.intensity  # intensities untouched, bit for bit
-            assert xi * x / n == pytest.approx(s.wavelength_nm, rel=1e-12)
+        for (xi, inten), lam, recorded in zip(
+            scaled.points, demo_interferogram.wavelengths(), demo_interferogram.intensities()
+        ):
+            assert inten == recorded  # intensities untouched, bit for bit
+            assert xi * x / n == pytest.approx(lam, rel=1e-12)
         xs = [p[0] for p in scaled.points]
         assert all(b > a for a, b in zip(xs, xs[1:]))
 

@@ -224,6 +224,19 @@ class TestPlot:
                      "--n", "6", "--out", str(tmp_path / "x.svg")]) == 2
 
 
+@pytest.mark.parametrize("command", ["factor", "plot"])
+@pytest.mark.parametrize("x_nm", ["0.0", "-5", "inf", "nan"])
+def test_bad_displacement_in_file_is_exit_two(demo_file, tmp_path, capsys, command, x_nm):
+    edited = tmp_path / "edited.csv"
+    edited.write_text(demo_file.read_text().replace("# x_nm=523426.8\n", f"# x_nm={x_nm}\n"))
+    argv = [command, "--interferogram", str(edited), "--n", "1308567"]
+    if command == "plot":
+        argv += ["--out", str(tmp_path / "x.svg")]
+    assert main(argv) == 2
+    assert "displacement_unit_nm" in capsys.readouterr().err
+    assert not (tmp_path / "x.svg").exists()
+
+
 class TestOracleCommand:
     def test_demo_number(self, capsys):
         code, payload = run_json(capsys, ["oracle", "--n", "1308567"])

@@ -18,8 +18,6 @@ from curlicue import (
     path_length,
     simulate,
 )
-from curlicue.interferometer import THREADS_ENV_VAR
-
 from conftest import DEMO_X_NM
 
 
@@ -67,8 +65,8 @@ class TestGrid:
 class TestNoiselessSimulation:
     def test_matches_sum_intensity(self, demo_interferogram, demo_spec):
         x = demo_interferogram.displacement_unit_nm
-        for s in demo_interferogram.samples:
-            assert abs(s.intensity - intensity(demo_spec, x / s.wavelength_nm)) <= 1e-12
+        for lam, inten in zip(demo_interferogram.wavelengths(), demo_interferogram.intensities()):
+            assert abs(inten - intensity(demo_spec, x / lam)) <= 1e-12
 
     def test_unity_peak_near_integer_ratio(self, demo_interferogram):
         # x/1131 = 462.8 nm sits inside the window, so the nearest pixel
@@ -77,13 +75,13 @@ class TestNoiselessSimulation:
         target = DEMO_X_NM / 1131
         j = int(np.argmin(np.abs(lam - target)))
         direct = abs(sum(cmath.exp(2j * math.pi * m**2 * DEMO_X_NM / lam[j]) for m in range(3)) / 3) ** 2
-        assert demo_interferogram.samples[j].intensity == pytest.approx(direct, abs=1e-12)
-        assert demo_interferogram.samples[j].intensity > 0.999
+        assert demo_interferogram.intensities()[j] == pytest.approx(direct, abs=1e-12)
+        assert demo_interferogram.intensities()[j] > 0.999
 
     def test_reference_arm_cancels_bit_exactly(self, demo_spec, demo_window):
         a = simulate(InterferometerConfig(DEMO_X_NM, demo_spec, 0.0), demo_window)
         b = simulate(InterferometerConfig(DEMO_X_NM, demo_spec, 1e6), demo_window)
-        assert a.samples == b.samples
+        assert np.array_equal(a.samples, b.samples)
 
     def test_intensities_within_unit_band(self, demo_interferogram):
         inten = demo_interferogram.intensities()
@@ -136,7 +134,7 @@ class TestNoise:
     def test_different_seeds_differ(self, demo_config, demo_window):
         a = simulate(demo_config, demo_window, NoiseModel(10.0, seed=1))
         b = simulate(demo_config, demo_window, NoiseModel(10.0, seed=2))
-        assert a.samples != b.samples
+        assert not np.array_equal(a.samples, b.samples)
 
     def test_mirror_error_keeps_peaks_high(self, demo_config, demo_window):
         ig = simulate(demo_config, demo_window, NoiseModel(mirror_sigma_nm=10.0, seed=0))
@@ -153,7 +151,7 @@ class TestNoise:
         noise = NoiseModel(10.0, None, 0.01, seed=9)
         a = simulate(InterferometerConfig(DEMO_X_NM, demo_spec, 0.0), demo_window, noise)
         b = simulate(InterferometerConfig(DEMO_X_NM, demo_spec, 5e5), demo_window, noise)
-        assert a.samples == b.samples
+        assert np.array_equal(a.samples, b.samples)
 
     def test_weight_validation(self):
         with pytest.raises(ValueError):
@@ -175,25 +173,6 @@ class TestNoise:
         assert inten.min() > 0.3  # destructive interference no longer complete
 
 
-class TestParallelism:
-    def test_thread_count_does_not_change_output(self, demo_spec):
-        config = InterferometerConfig(3763600.0, demo_spec)
-        window = SpectralWindow(400.0, 800.0, pixel_count=30000)
-        noise = NoiseModel(10.0, None, 0.02, seed=5)
-        results = [
-            simulate(config, window, noise, allow_undersampled=True, threads=t)
-            for t in (1, 2, 7)
-        ]
-        assert results[0] == results[1] == results[2]
-
-    def test_env_var_cap_respected(self, demo_config, demo_window, monkeypatch):
-        base = simulate(demo_config, demo_window)
-        monkeypatch.setenv(THREADS_ENV_VAR, "4")
-        assert simulate(demo_config, demo_window) == base
-        monkeypatch.setenv(THREADS_ENV_VAR, "not-a-number")
-        assert simulate(demo_config, demo_window) == base
-
-
 class TestInterferogramType:
     def test_needs_two_samples(self, demo_spec):
         with pytest.raises(ValueError):
@@ -206,6 +185,34 @@ class TestInterferogramType:
     def test_rejects_negative_intensity(self, demo_spec):
         with pytest.raises(ValueError):
             Interferogram(1.0, demo_spec, ((400.0, -0.1), (401.0, 0.5)))
+
+    @pytest.mark.parametrize(
+        "rows",
+        [(400.0, 401.0, 402.0), ((400.0, 0.5, 0.1), (401.0, 0.5, 0.1)), [[[400.0, 0.5], [401.0, 0.5]]]],
+    )
+    def test_rejects_non_n_by_2(self, demo_spec, rows):
+        with pytest.raises(ValueError):
+            Interferogram(1.0, demo_spec, rows)
+
+    @pytest.mark.parametrize("x_nm", [0.0, -5.0, math.inf, math.nan])
+    def test_rejects_bad_displacement(self, demo_spec, x_nm):
+        with pytest.raises(ValueError):
+            Interferogram(x_nm, demo_spec, ((400.0, 0.5), (401.0, 0.5)))
+
+    def test_samples_read_only_and_equality_is_bitwise(self, demo_interferogram):
+        ig = demo_interferogram
+        assert ig.samples.shape == (2048, 2) and ig.samples.dtype == np.float64
+        with pytest.raises(ValueError):
+            ig.samples[0, 1] = 0.5
+        with pytest.raises(ValueError):
+            ig.intensities()[0] = 0.5
+        rows = ig.samples.copy()
+        twin = Interferogram(ig.displacement_unit_nm, ig.sum_spec, rows, dict(ig.provenance))
+        assert twin == ig
+        rows[7, 1] = np.nextafter(rows[7, 1], 2.0)  # the constructor copied: twin unchanged
+        assert twin == ig
+        nudged = Interferogram(ig.displacement_unit_nm, ig.sum_spec, rows, dict(ig.provenance))
+        assert nudged != ig
 
     def test_provenance_recorded(self, demo_interferogram):
         prov = demo_interferogram.provenance

@@ -1,5 +1,7 @@
+import hashlib
 import random
 
+import numpy as np
 import pytest
 
 from curlicue import (
@@ -8,7 +10,9 @@ from curlicue import (
     NoiseModel,
     SpectralWindow,
     SumSpec,
+    Interferogram,
     dumps_interferogram,
+    interferogram_svg,
     loads_interferogram,
     read_interferogram,
     simulate,
@@ -52,6 +56,26 @@ class TestRoundTrip:
     def test_serialization_is_byte_stable(self, demo_interferogram):
         assert dumps_interferogram(demo_interferogram) == dumps_interferogram(demo_interferogram)
 
+    def test_golden_bytes(self):
+        # built from fixed rows, not simulate(), so the bytes do not depend on libm
+        rows = (
+            (400.0, 0.0),
+            (400.5, 0.125),
+            (401.25, 1.0),
+            (402.0, 0.3333333333333333),
+            (403.75, 0.7071067811865476),
+            (405.0, 1.5e-17),
+        )
+        ig = Interferogram(1605.0, SumSpec(3, 2), rows, {"seed": "0", "operator": "alice"})
+        text = dumps_interferogram(ig)
+        svg = interferogram_svg(ig, [4, 5])
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "fd8e7d3018e358aba094a3071be23aace1fceb944f5eeef3fdfbff5765c0e632"
+        )
+        assert hashlib.sha256(svg.encode()).hexdigest() == (
+            "9dd5c8fecbbce8ea0176ff1e4ce51bea5b380ef5df017ecc597c9ce603f0a67a"
+        )
+
 
 class TestFormat:
     def test_header_layout(self, demo_interferogram):
@@ -86,9 +110,8 @@ class TestFormat:
 
     def test_values_survive_at_full_precision(self, demo_interferogram):
         parsed = loads_interferogram(dumps_interferogram(demo_interferogram))
-        for a, b in zip(parsed.samples, demo_interferogram.samples):
-            assert a.wavelength_nm == b.wavelength_nm  # bit-exact
-            assert a.intensity == b.intensity
+        assert np.array_equal(parsed.wavelengths(), demo_interferogram.wavelengths())  # bit-exact
+        assert np.array_equal(parsed.intensities(), demo_interferogram.intensities())
 
 
 class TestParseErrors:
@@ -113,6 +136,12 @@ class TestParseErrors:
     def test_wrong_column_count(self):
         text = f"{VERSION_LINE}\n# x_nm=10\n# M=2\n# d=2\nlambda_nm,intensity\n400.0,0.1,9\n"
         with pytest.raises(FileFormatError):
+            loads_interferogram(text)
+
+    def test_column_count_checked_per_row(self):
+        # four cells in all, but no row has two: the rows must not pair up across lines
+        text = f"{VERSION_LINE}\n# x_nm=10\n# M=2\n# d=2\nlambda_nm,intensity\n400.0,0.1,9\n401.0\n"
+        with pytest.raises(FileFormatError, match="line 6: expected 2 columns, got 3"):
             loads_interferogram(text)
 
     def test_non_monotone_rows(self):
