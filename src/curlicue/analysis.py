@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from .errors import EmptyWindow
+from .errors import EmptyWindow, OutOfRange
 from .expsum import decompose
-from .interferometer import Interferogram, SpectralWindow
+from .interferometer import Interferogram, SpectralWindow, _checked_displacement
 
 DEFAULT_THRESHOLD = 0.7
 DEFAULT_EPSILON = 0.05
@@ -58,6 +58,17 @@ def _checked_target(n, minimum: int) -> int:
     return n
 
 
+def _checked_reach(n: int, lam_nm: float, x_nm: float = 1.0) -> float:
+    """n*lam_nm/x_nm in float64; OutOfRange when the target is too large for it."""
+    try:
+        reach = n * lam_nm / x_nm
+        if reach < math.inf:
+            return reach
+    except OverflowError:
+        pass
+    raise OutOfRange(f"target {n} is too large: n*lambda/x overflows float64")
+
+
 def rescale(ig: Interferogram, n: int) -> RescaledInterferogram:
     """Relabel the wavelength axis as xi_n = n*lambda/x; intensities untouched."""
     _checked_target(n, 2)
@@ -71,8 +82,7 @@ def _ratio_bounds(x_nm: float, lam_lo: float, lam_hi: float) -> tuple[int, int]:
 
 def q_window(x_nm: float, window: SpectralWindow) -> tuple[int, int]:
     """Smallest and largest integer ratio q = x/lambda reachable in the window."""
-    if not (math.isfinite(x_nm) and x_nm > 0):
-        raise ValueError(f"x_nm must be positive and finite, got {x_nm!r}")
+    _checked_displacement(x_nm, "x_nm")
     lo, hi = _ratio_bounds(x_nm, window.lambda_min_nm, window.lambda_max_nm)
     if lo > hi:
         raise EmptyWindow(
@@ -128,37 +138,6 @@ def detect_peaks(ig: Interferogram, threshold: float = DEFAULT_THRESHOLD) -> lis
     return sorted(best.values(), key=lambda c: c.lambda_peak_nm)
 
 
-def _report(
-    peaks: Sequence[PeakCandidate],
-    x_nm: float,
-    lam_span: tuple[float, float],
-    n: int,
-    threshold: float,
-    epsilon: float,
-) -> FactorReport:
-    q_lo, q_hi = _ratio_bounds(x_nm, lam_span[0], lam_span[1])
-    in_window = tuple(p for p in peaks if q_lo <= p.q <= q_hi)
-    gated = [p for p in in_window if abs(p.residual) <= epsilon]
-    qs = sorted({p.q for p in gated if 1 < p.q < n and n % p.q == 0})
-    factors = tuple((q, n // q) for q in qs)
-    return FactorReport(
-        n=n,
-        q_window=(q_lo, q_hi),
-        candidates=in_window,
-        factors=factors,
-        diagnostics={
-            "threshold": threshold,
-            "epsilon": epsilon,
-            "counts": {
-                "peaks": len(peaks),
-                "in_window": len(in_window),
-                "integer_gated": len(gated),
-                "factors": len(factors),
-            },
-        },
-    )
-
-
 def extract_factors(
     ig: Interferogram,
     n: int,
@@ -172,10 +151,7 @@ def extract_factors(
     1 < q < n.  The epsilon gate trades compute, never correctness; exact
     division is the final arbiter.
     """
-    _checked_target(n, 4)
-    peaks = detect_peaks(ig, threshold)
-    span = tuple(ig.wavelengths()[[0, -1]].tolist())  # Python floats keep _report scalar
-    return _report(peaks, ig.displacement_unit_nm, span, n, threshold, epsilon)
+    return scan_targets(ig, [n], threshold, epsilon)[0]
 
 
 def scan_targets(
@@ -184,11 +160,30 @@ def scan_targets(
     threshold: float = DEFAULT_THRESHOLD,
     epsilon: float = DEFAULT_EPSILON,
 ) -> list[FactorReport]:
-    """One FactorReport per target, reusing a single peak-detection pass."""
+    """One FactorReport per target from a single detection and gating pass.
+
+    Nothing but the exact division depends on the target, so peaks are
+    detected, windowed and epsilon-gated once, and each target then costs
+    one n % q per gated ratio.
+    """
     target_list = [_checked_target(n, 4) for n in targets]
     if not target_list:
         raise ValueError("targets must be nonempty")
+
+    # per spectrum
     peaks = detect_peaks(ig, threshold)
-    span = tuple(ig.wavelengths()[[0, -1]].tolist())
-    x = ig.displacement_unit_nm
-    return [_report(peaks, x, span, n, threshold, epsilon) for n in target_list]
+    lam_lo, lam_hi = ig.wavelengths()[[0, -1]].tolist()  # Python floats keep the bounds scalar
+    q_lo, q_hi = _ratio_bounds(ig.displacement_unit_nm, lam_lo, lam_hi)
+    in_window = tuple(p for p in peaks if q_lo <= p.q <= q_hi)
+    gated = [p for p in in_window if abs(p.residual) <= epsilon]
+    gated_qs = sorted({p.q for p in gated})
+    counts = {"peaks": len(peaks), "in_window": len(in_window), "integer_gated": len(gated)}
+
+    # per target: exact division decides
+    reports = []
+    for n in target_list:
+        factors = tuple((q, n // q) for q in gated_qs if 1 < q < n and n % q == 0)
+        counts_n = {**counts, "factors": len(factors)}
+        diagnostics = {"threshold": threshold, "epsilon": epsilon, "counts": counts_n}
+        reports.append(FactorReport(n, (q_lo, q_hi), in_window, factors, diagnostics))
+    return reports

@@ -12,6 +12,7 @@ any r.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -30,6 +31,13 @@ _PURPOSE_MIRROR = 1
 _PURPOSE_DETECTOR = 2
 
 
+def _checked_displacement(x, name: str) -> float:
+    """x as a float; ValueError unless it is a positive finite int or float."""
+    if not (isinstance(x, (int, float)) and 0 < x <= sys.float_info.max):
+        raise ValueError(f"{name} must be a positive finite number, got {x!r}")
+    return float(x)
+
+
 @dataclass(frozen=True)
 class InterferometerConfig:
     """Geometry of one measurement: displacement unit, arm progression, reference."""
@@ -39,13 +47,11 @@ class InterferometerConfig:
     reference_length_nm: float = 0.0
 
     def __post_init__(self) -> None:
-        x = self.displacement_unit_nm
-        if not (isinstance(x, (int, float)) and math.isfinite(x) and x > 0):
-            raise ValueError(f"displacement_unit_nm must be a positive finite number, got {x!r}")
+        x = _checked_displacement(self.displacement_unit_nm, "displacement_unit_nm")
         r = self.reference_length_nm
         if not (isinstance(r, (int, float)) and math.isfinite(r) and r >= 0):
             raise ValueError(f"reference_length_nm must be >= 0, got {r!r}")
-        object.__setattr__(self, "displacement_unit_nm", float(x))
+        object.__setattr__(self, "displacement_unit_nm", x)
         object.__setattr__(self, "reference_length_nm", float(r))
 
 
@@ -122,9 +128,7 @@ class Interferogram:
     provenance: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        x = self.displacement_unit_nm
-        if not (isinstance(x, (int, float)) and math.isfinite(x) and x > 0):
-            raise ValueError(f"displacement_unit_nm must be a positive finite number, got {x!r}")
+        _checked_displacement(self.displacement_unit_nm, "displacement_unit_nm")
         samples = np.array(self.samples, dtype=np.float64)
         if samples.ndim != 2 or samples.shape[1] != 2:
             raise ValueError(f"samples must be an N x 2 array, got shape {samples.shape}")

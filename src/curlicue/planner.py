@@ -13,8 +13,9 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+from .analysis import _checked_reach
 from .errors import DegenerateBandwidth, InsufficientBandwidth
-from .interferometer import SpectralWindow
+from .interferometer import SpectralWindow, _checked_displacement
 
 # Order of magnitude of the observable universe, in meters.
 UNIVERSE_SIZE_EXPONENT_M = 27
@@ -64,12 +65,6 @@ class DisplacementEstimate:
         )
 
 
-def _checked_x(x_nm: float) -> float:
-    if not (isinstance(x_nm, (int, float)) and math.isfinite(x_nm) and x_nm > 0):
-        raise ValueError(f"x_nm must be a positive finite number, got {x_nm!r}")
-    return float(x_nm)
-
-
 def factorable_range(x_nm: float, window: SpectralWindow) -> Optional[tuple[float, float]]:
     """Interval (n_min, n_max) of targets addressable by one run at displacement x.
 
@@ -77,7 +72,7 @@ def factorable_range(x_nm: float, window: SpectralWindow) -> Optional[tuple[floa
     sqrt(n); n_max = x/lambda_min from the largest reachable ratio.  Returns
     None when the interval is empty (x too large for the bandwidth).
     """
-    _checked_x(x_nm)
+    _checked_displacement(x_nm, "x_nm")
     n_min = (x_nm / window.lambda_max_nm) ** 2
     n_max = x_nm / window.lambda_min_nm
     # the tolerance keeps the exact collapse point x = lambda_max**2/lambda_min
@@ -107,6 +102,18 @@ def _run_count(n_top: int, ratio: float) -> int:
     return count
 
 
+def _schedule(
+    scheme: str, n_lo: int, n_hi: int, window: SpectralWindow, ratio: float
+) -> MeasurementPlan:
+    """Runs at x = n_hi*lambda_min / ratio**i covering [n_hi*lambda_min/x, n_lo*lambda_max/x]."""
+    runs = []
+    x = n_hi * window.lambda_min_nm
+    for _ in range(_run_count(n_hi, ratio)):
+        runs.append(PlanRun(x, n_hi * window.lambda_min_nm / x, n_lo * window.lambda_max_nm / x))
+        x /= ratio
+    return MeasurementPlan(scheme=scheme, ratio=ratio, runs=tuple(runs))
+
+
 def plan_single_number(n: int, window: SpectralWindow) -> MeasurementPlan:
     """Schedule covering every trial factor in [1, sqrt(n)] for one target.
 
@@ -116,15 +123,11 @@ def plan_single_number(n: int, window: SpectralWindow) -> MeasurementPlan:
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 4:
         raise ValueError(f"n must be an integer >= 4, got {n!r}")
+    _checked_reach(n, window.lambda_max_nm)
     beta = window.lambda_max_nm / window.lambda_min_nm
     if beta <= 1.0 + 1e-9:
         raise DegenerateBandwidth(f"bandwidth ratio beta={beta!r} is too close to 1 to schedule runs")
-    runs = []
-    x = n * window.lambda_min_nm
-    for _ in range(_run_count(n, beta)):
-        runs.append(PlanRun(x_nm=x, xi_lo=n * window.lambda_min_nm / x, xi_hi=n * window.lambda_max_nm / x))
-        x /= beta
-    return MeasurementPlan(scheme="single-number", ratio=beta, runs=tuple(runs))
+    return _schedule("single-number", n, n, window, beta)
 
 
 def plan_number_range(n_min: int, n_max: int, window: SpectralWindow) -> MeasurementPlan:
@@ -140,22 +143,12 @@ def plan_number_range(n_min: int, n_max: int, window: SpectralWindow) -> Measure
             raise ValueError(f"{label} must be an integer, got {value!r}")
     if not 4 <= n_min < n_max:
         raise ValueError(f"need 4 <= n_min < n_max, got ({n_min}, {n_max})")
+    _checked_reach(n_max, window.lambda_max_nm)
     beta = window.lambda_max_nm / window.lambda_min_nm
     gamma = beta * n_min / n_max
     if gamma <= 1.0:
         raise InsufficientBandwidth(gamma=gamma, min_beta=n_max / n_min)
-    runs = []
-    x = n_max * window.lambda_min_nm
-    for _ in range(_run_count(n_max, gamma)):
-        runs.append(
-            PlanRun(
-                x_nm=x,
-                xi_lo=n_max * window.lambda_min_nm / x,
-                xi_hi=n_min * window.lambda_max_nm / x,
-            )
-        )
-        x /= gamma
-    return MeasurementPlan(scheme="number-range", ratio=gamma, runs=tuple(runs))
+    return _schedule("number-range", n_min, n_max, window, gamma)
 
 
 def displacement_estimate(digits: int, lambda_min_nm: float) -> DisplacementEstimate:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
+from .analysis import _checked_reach, _checked_target
 from .interferometer import Interferogram
 
 _LEFT = 70
@@ -29,7 +30,7 @@ def _dev(value: float) -> str:
 
 def interferogram_svg(ig: Interferogram, targets: Sequence[int] = ()) -> str:
     """Render a self-contained SVG chart; at most two rescaled-axis targets."""
-    targets = [int(n) for n in targets]
+    targets = [_checked_target(n, 2) for n in targets]
     if len(targets) > 2:
         raise ValueError("at most two rescaled-axis targets are supported")
 
@@ -116,8 +117,8 @@ def interferogram_svg(ig: Interferogram, targets: Sequence[int] = ()) -> str:
             f'<line x1="{_LEFT}" y1="{axis_y}" x2="{_LEFT + plot_w}" y2="{axis_y}" '
             f'stroke="{color}" stroke-width="1"/>'
         )
+        xi_hi = _checked_reach(n, lam1, x_nm)
         xi_lo = n * lam0 / x_nm
-        xi_hi = n * lam1 / x_nm
         first = math.ceil(xi_lo)
         last = math.floor(xi_hi)
         count = max(0, last - first + 1)

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import numpy as np
@@ -7,12 +8,15 @@ from curlicue import (
     EmptyWindow,
     Interferogram,
     InterferometerConfig,
+    NoiseModel,
     PrecisionExceeded,
     SpectralWindow,
     SumSpec,
     detect_peaks,
     divisors_in_window,
     extract_factors,
+    min_pixels,
+    plan_single_number,
     q_window,
     rescale,
     scan_targets,
@@ -71,6 +75,11 @@ class TestQWindow:
     def test_empty(self):
         with pytest.raises(EmptyWindow):
             q_window(100.0, SpectralWindow(400.0, 800.0))
+
+    @pytest.mark.parametrize("x_nm", [0.0, -5.0, float("inf"), float("nan"), 10**400, "a"])
+    def test_rejects_bad_displacement(self, x_nm):
+        with pytest.raises(ValueError, match="x_nm"):
+            q_window(x_nm, SpectralWindow(400.0, 800.0))
 
     def test_exact_edges_inclusive(self):
         assert q_window(800.0, SpectralWindow(400.0, 800.0)) == (1, 2)
@@ -230,3 +239,22 @@ class TestScanTargets:
         assert counts["in_window"] == 7
         assert counts["integer_gated"] == 7
         assert counts["factors"] == 1
+
+
+def test_golden_reports(demo_config, demo_window):
+    # sha256 of repr of every report, hash taken before peaks were gated once
+    # per spectrum; the spectra come from simulate(), so it assumes the same
+    # numpy and libm as the run that took it
+    rng = random.Random(17)
+    targets = [rng.randint(1_250_000, 1_350_000) for _ in range(2000)]
+    targets += [q * rng.randint(1107, 1194) for q in range(1130, 1137) for _ in range(4)]
+    digest = hashlib.sha256()
+    for noise in (None, NoiseModel(50.0, detector_sigma=0.02, seed=7)):
+        ig = simulate(demo_config, demo_window, noise)
+        digest.update(repr(scan_targets(ig, targets)).encode())
+    lamp = SpectralWindow(400.0, 800.0)
+    for run in plan_single_number(9409, lamp).runs:
+        config = InterferometerConfig(run.x_nm, SumSpec(3, 2))
+        ig = simulate(config, SpectralWindow(400.0, 800.0, min_pixels(config, lamp)))
+        digest.update(repr(extract_factors(ig, 9409)).encode())
+    assert digest.hexdigest() == "b7d06e6de4f71918b01d886a4ab18034da0a4d4f03076b699e9ce33c584535b1"

@@ -224,6 +224,30 @@ class TestPlot:
                      "--n", "6", "--out", str(tmp_path / "x.svg")]) == 2
 
 
+HUGE = str(10**400)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["plot", "--n", "0"],
+        ["plot", "--n", "-5"],
+        ["plot", "--n", HUGE],
+        ["plan", "--n", HUGE],
+        ["plan", "--n-min", "4", "--n-max", HUGE],
+    ],
+    ids=["plot-zero", "plot-negative", "plot-huge", "plan-huge", "plan-range-huge"],
+)
+def test_bad_target_is_exit_two(demo_file, tmp_path, capsys, argv):
+    if argv[0] == "plot":
+        argv = argv + ["--interferogram", str(demo_file), "--out", str(tmp_path / "x.svg")]
+    else:
+        argv = argv + ["--lambda-min", "400", "--lambda-max", "800"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "x.svg").exists()
+
+
 @pytest.mark.parametrize("command", ["factor", "plot"])
 @pytest.mark.parametrize("x_nm", ["0.0", "-5", "inf", "nan"])
 def test_bad_displacement_in_file_is_exit_two(demo_file, tmp_path, capsys, command, x_nm):

@@ -7,6 +7,7 @@ import pytest
 from curlicue import (
     DegenerateBandwidth,
     InsufficientBandwidth,
+    PlanRun,
     SpectralWindow,
     bandwidth_summary,
     displacement_estimate,
@@ -122,6 +123,27 @@ class TestPlanSingleNumber:
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
             plan_single_number(3, LAMP)
+
+
+def test_pinned_schedules():
+    # values recorded before both schemes shared one schedule loop; floats compared exactly
+    # (1000..10000 needs beta > 10, so it is pinned on a 380-7800 nm window)
+    single = plan_single_number(9409, LAMP)
+    assert single.ratio == 2.0
+    assert single.runs == tuple(
+        PlanRun(3763600.0 / 2**i, 2.0**i, 2.0 ** (i + 1)) for i in range(7)
+    )
+    wide = plan_number_range(1000, 10000, SpectralWindow(380.0, 7800.0))
+    assert wide.ratio == 2.052631578947368
+    assert wide.runs == (
+        PlanRun(3800000.0, 1.0, 2.0526315789473686),
+        PlanRun(1851282.0512820515, 2.052631578947368, 4.213296398891966),
+        PlanRun(901906.6403681791, 4.213296398891965, 8.648345239830876),
+        PlanRun(439390.4145383437, 8.648345239830876, 17.75186654491601),
+        PlanRun(214061.9968263726, 17.751866544916005, 36.43804185535391),
+        PlanRun(104286.61383848923, 36.4380418553539, 74.79387538730538),
+        PlanRun(50806.2990495204, 74.79387538730536, 153.52427053183735),
+    )
 
 
 class TestPlanNumberRange:
