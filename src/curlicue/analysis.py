@@ -15,9 +15,9 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import EmptyWindow, OutOfRange
+from .errors import EmptyWindow, checked_int, checked_reach, checked_real
 from .expsum import decompose
-from .interferometer import Interferogram, SpectralWindow, _checked_displacement
+from .interferometer import Interferogram, SpectralWindow
 
 DEFAULT_THRESHOLD = 0.7
 DEFAULT_EPSILON = 0.05
@@ -52,27 +52,12 @@ class FactorReport:
     diagnostics: dict
 
 
-def _checked_target(n, minimum: int) -> int:
-    if not isinstance(n, int) or isinstance(n, bool) or n < minimum:
-        raise ValueError(f"target must be an integer >= {minimum}, got {n!r}")
-    return n
-
-
-def _checked_reach(n: int, lam_nm: float, x_nm: float = 1.0) -> float:
-    """n*lam_nm/x_nm in float64; OutOfRange when the target is too large for it."""
-    try:
-        reach = n * lam_nm / x_nm
-        if reach < math.inf:
-            return reach
-    except OverflowError:
-        pass
-    raise OutOfRange(f"target {n} is too large: n*lambda/x overflows float64")
-
-
 def rescale(ig: Interferogram, n: int) -> RescaledInterferogram:
     """Relabel the wavelength axis as xi_n = n*lambda/x; intensities untouched."""
-    _checked_target(n, 2)
-    xi = n * ig.wavelengths() / ig.displacement_unit_nm
+    checked_int(n, "target", lo=2)
+    lam = ig.wavelengths()
+    checked_reach(n, float(np.abs(lam).max()), ig.displacement_unit_nm)
+    xi = n * lam / ig.displacement_unit_nm
     return RescaledInterferogram(n=n, points=np.column_stack((xi, ig.intensities())))
 
 
@@ -82,7 +67,7 @@ def _ratio_bounds(x_nm: float, lam_lo: float, lam_hi: float) -> tuple[int, int]:
 
 def q_window(x_nm: float, window: SpectralWindow) -> tuple[int, int]:
     """Smallest and largest integer ratio q = x/lambda reachable in the window."""
-    _checked_displacement(x_nm, "x_nm")
+    checked_real(x_nm, "x_nm", 0, strict=True)
     lo, hi = _ratio_bounds(x_nm, window.lambda_min_nm, window.lambda_max_nm)
     if lo > hi:
         raise EmptyWindow(
@@ -117,6 +102,7 @@ def detect_peaks(ig: Interferogram, threshold: float = DEFAULT_THRESHOLD) -> lis
     Candidates sharing the same q are merged keeping the strongest; the
     result is ordered by wavelength.
     """
+    checked_real(threshold, "threshold", -math.inf, strict=False)
     lam = ig.wavelengths()
     inten = ig.intensities()
     if lam.size < 3:
@@ -166,9 +152,10 @@ def scan_targets(
     detected, windowed and epsilon-gated once, and each target then costs
     one n % q per gated ratio.
     """
-    target_list = [_checked_target(n, 4) for n in targets]
+    target_list = [checked_int(n, "target", lo=4) for n in targets]
     if not target_list:
         raise ValueError("targets must be nonempty")
+    checked_real(epsilon, "epsilon", 0, strict=False)
 
     # per spectrum
     peaks = detect_peaks(ig, threshold)

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one copy of each argument rule."""
+
+import math
+import sys
 
 
 class CurlicueError(Exception):
@@ -51,3 +54,32 @@ class OutOfRange(CurlicueError):
 
 class FileFormatError(CurlicueError):
     """Interferogram file does not conform to the v1 format."""
+
+
+def checked_int(value, name: str, lo=None, hi=None, error: type = ValueError) -> int:
+    """value itself; `error` unless it is an int, not a bool, within [lo, hi] (None: unbounded)."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        if (lo is None or value >= lo) and (hi is None or value <= hi):
+            return value
+    rule = " and".join(f" {op} {bound}" for op, bound in ((">=", lo), ("<=", hi)) if bound is not None)
+    raise error(f"{name} must be an integer{rule}, got {value!r}")
+
+
+def checked_real(value, name: str, lo: float, strict: bool) -> float:
+    """value as a float; ValueError unless it is a finite int or float, not a bool,
+    and > lo (>= lo unless strict)."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        if abs(value) <= sys.float_info.max and (value > lo if strict else value >= lo):
+            return float(value)
+    raise ValueError(f"{name} must be a finite number {'>' if strict else '>='} {lo:g}, got {value!r}")
+
+
+def checked_reach(n: int, lam_nm: float, x_nm: float = 1.0) -> float:
+    """n*lam_nm/x_nm in float64; OutOfRange when the target is too large for it."""
+    try:
+        reach = n * lam_nm / x_nm
+        if reach < math.inf:
+            return reach
+    except OverflowError:
+        pass
+    raise OutOfRange(f"target {n} is too large: n*lambda/x overflows float64")

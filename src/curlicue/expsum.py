@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import PrecisionExceeded
+from .errors import PrecisionExceeded, checked_int
 
 # Above this magnitude a float64 leaves fewer than ~12 bits for the
 # fractional residual, so the integer/residual split stops being meaningful.
@@ -35,10 +35,8 @@ class SumSpec:
     order: int = 2
 
     def __post_init__(self) -> None:
-        if not isinstance(self.path_count, int) or self.path_count < 2:
-            raise ValueError(f"path_count must be an integer >= 2, got {self.path_count!r}")
-        if not isinstance(self.order, int) or self.order < 2:
-            raise ValueError(f"order must be an integer >= 2, got {self.order!r}")
+        checked_int(self.path_count, "path_count", lo=2)
+        checked_int(self.order, "order", lo=2)
 
 
 @dataclass(frozen=True)

@@ -12,13 +12,12 @@ any r.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .errors import IndexOutOfRange, UnderSampled
+from .errors import IndexOutOfRange, UnderSampled, checked_int, checked_real
 from .expsum import SumSpec, main_lobe_halfwidth
 
 GENERATOR_VERSION = "curlicue-sim/1"
@@ -31,13 +30,6 @@ _PURPOSE_MIRROR = 1
 _PURPOSE_DETECTOR = 2
 
 
-def _checked_displacement(x, name: str) -> float:
-    """x as a float; ValueError unless it is a positive finite int or float."""
-    if not (isinstance(x, (int, float)) and 0 < x <= sys.float_info.max):
-        raise ValueError(f"{name} must be a positive finite number, got {x!r}")
-    return float(x)
-
-
 @dataclass(frozen=True)
 class InterferometerConfig:
     """Geometry of one measurement: displacement unit, arm progression, reference."""
@@ -47,12 +39,10 @@ class InterferometerConfig:
     reference_length_nm: float = 0.0
 
     def __post_init__(self) -> None:
-        x = _checked_displacement(self.displacement_unit_nm, "displacement_unit_nm")
-        r = self.reference_length_nm
-        if not (isinstance(r, (int, float)) and math.isfinite(r) and r >= 0):
-            raise ValueError(f"reference_length_nm must be >= 0, got {r!r}")
+        x = checked_real(self.displacement_unit_nm, "displacement_unit_nm", 0, strict=True)
+        r = checked_real(self.reference_length_nm, "reference_length_nm", 0, strict=False)
         object.__setattr__(self, "displacement_unit_nm", x)
-        object.__setattr__(self, "reference_length_nm", float(r))
+        object.__setattr__(self, "reference_length_nm", r)
 
 
 @dataclass(frozen=True)
@@ -64,13 +54,11 @@ class SpectralWindow:
     pixel_count: int = 2048
 
     def __post_init__(self) -> None:
-        lo, hi = self.lambda_min_nm, self.lambda_max_nm
-        if not (math.isfinite(lo) and math.isfinite(hi) and 0 < lo < hi):
-            raise ValueError(f"window must satisfy 0 < lambda_min < lambda_max, got [{lo!r}, {hi!r}]")
-        if not isinstance(self.pixel_count, int) or isinstance(self.pixel_count, bool) or self.pixel_count < 2:
-            raise ValueError(f"pixel_count must be an integer >= 2, got {self.pixel_count!r}")
-        object.__setattr__(self, "lambda_min_nm", float(lo))
-        object.__setattr__(self, "lambda_max_nm", float(hi))
+        lo = checked_real(self.lambda_min_nm, "lambda_min_nm", 0, strict=True)
+        hi = checked_real(self.lambda_max_nm, "lambda_max_nm", lo, strict=True)
+        checked_int(self.pixel_count, "pixel_count", lo=2)
+        object.__setattr__(self, "lambda_min_nm", lo)
+        object.__setattr__(self, "lambda_max_nm", hi)
 
     def pixel_centers(self) -> np.ndarray:
         """Pixel-center wavelengths lambda_min + (j + 1/2) * dlambda."""
@@ -98,14 +86,11 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.mirror_sigma_nm) and self.mirror_sigma_nm >= 0):
-            raise ValueError(f"mirror_sigma_nm must be >= 0, got {self.mirror_sigma_nm!r}")
-        if not (math.isfinite(self.detector_sigma) and self.detector_sigma >= 0):
-            raise ValueError(f"detector_sigma must be >= 0, got {self.detector_sigma!r}")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
-        object.__setattr__(self, "mirror_sigma_nm", float(self.mirror_sigma_nm))
-        object.__setattr__(self, "detector_sigma", float(self.detector_sigma))
+        mirror = checked_real(self.mirror_sigma_nm, "mirror_sigma_nm", 0, strict=False)
+        detector = checked_real(self.detector_sigma, "detector_sigma", 0, strict=False)
+        checked_int(self.seed, "seed")
+        object.__setattr__(self, "mirror_sigma_nm", mirror)
+        object.__setattr__(self, "detector_sigma", detector)
         if self.arm_weights is not None:
             weights = tuple(float(w) for w in self.arm_weights)
             object.__setattr__(self, "arm_weights", weights)
@@ -128,7 +113,7 @@ class Interferogram:
     provenance: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        _checked_displacement(self.displacement_unit_nm, "displacement_unit_nm")
+        checked_real(self.displacement_unit_nm, "displacement_unit_nm", 0, strict=True)
         samples = np.array(self.samples, dtype=np.float64)
         if samples.ndim != 2 or samples.shape[1] != 2:
             raise ValueError(f"samples must be an N x 2 array, got shape {samples.shape}")
@@ -161,9 +146,7 @@ class Interferogram:
 
 def path_length(config: InterferometerConfig, m: int) -> float:
     """Optical length r + (m-1)**d * x of arm m, 1-based."""
-    arms = config.sum_spec.path_count
-    if not isinstance(m, int) or isinstance(m, bool) or not 1 <= m <= arms:
-        raise IndexOutOfRange(f"arm index {m!r} outside 1..{arms}")
+    checked_int(m, "arm index", 1, config.sum_spec.path_count, error=IndexOutOfRange)
     return config.reference_length_nm + (m - 1) ** config.sum_spec.order * config.displacement_unit_nm
 
 

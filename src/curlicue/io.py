@@ -112,4 +112,8 @@ def write_interferogram(ig: Interferogram, path: Union[str, os.PathLike]) -> Non
 
 def read_interferogram(path: Union[str, os.PathLike]) -> Interferogram:
     with open(path, "r", encoding="utf-8") as fh:
-        return loads_interferogram(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise FileFormatError(f"not UTF-8 text: {exc}") from None
+    return loads_interferogram(text)

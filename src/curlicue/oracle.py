@@ -10,17 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import OutOfRange
+from .errors import OutOfRange, checked_int
 
-_LIMIT = 2**63
-
-
-def _checked_int(n, lower: int) -> int:
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise OutOfRange(f"expected an integer, got {n!r}")
-    if not lower <= n < _LIMIT:
-        raise OutOfRange(f"n must satisfy {lower} <= n < 2**63, got {n}")
-    return n
+_MAX_N = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -44,7 +36,7 @@ class Factorization:
 
 def trial_division(n: int) -> Factorization:
     """Complete prime factorization of n by trial division, 2 <= n < 2**63."""
-    _checked_int(n, 2)
+    checked_int(n, "n", 2, _MAX_N, error=OutOfRange)
     remaining = n
     powers: list[tuple[int, int]] = []
     for p in (2, 3):
@@ -71,13 +63,9 @@ def trial_division(n: int) -> Factorization:
 
 def divisors_in_window(n: int, lo: int, hi: int) -> list[int]:
     """Divisors d of n with lo <= d <= hi, ascending; 1 <= n < 2**63."""
-    if (
-        not isinstance(lo, int)
-        or not isinstance(hi, int)
-        or not 1 <= lo <= hi
-    ):
-        raise OutOfRange(f"window must satisfy 1 <= lo <= hi, got ({lo!r}, {hi!r})")
-    _checked_int(n, 1)
+    checked_int(lo, "lo", 1, error=OutOfRange)
+    checked_int(hi, "hi", lo, error=OutOfRange)
+    checked_int(n, "n", 1, _MAX_N, error=OutOfRange)
     if n == 1:
         return [1] if lo == 1 else []
     return [d for d in trial_division(n).divisors() if lo <= d <= hi]

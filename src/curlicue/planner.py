@@ -13,12 +13,17 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .analysis import _checked_reach
-from .errors import DegenerateBandwidth, InsufficientBandwidth
-from .interferometer import SpectralWindow, _checked_displacement
+from .errors import DegenerateBandwidth, InsufficientBandwidth, checked_int, checked_reach, checked_real
+from .interferometer import SpectralWindow
 
 # Order of magnitude of the observable universe, in meters.
 UNIVERSE_SIZE_EXPONENT_M = 27
+
+# Most runs one plan may hold: a plan needing more has a ratio so close to 1
+# that its window is too narrow to schedule.  Real plans are far below it:
+# the 2.88 nm demo window needs 2,216 runs for 10**12, and 1000..1999 over
+# 400-800 nm needs 7,599.
+MAX_RUNS = 100_000
 
 
 @dataclass(frozen=True)
@@ -72,7 +77,7 @@ def factorable_range(x_nm: float, window: SpectralWindow) -> Optional[tuple[floa
     sqrt(n); n_max = x/lambda_min from the largest reachable ratio.  Returns
     None when the interval is empty (x too large for the bandwidth).
     """
-    _checked_displacement(x_nm, "x_nm")
+    checked_real(x_nm, "x_nm", 0, strict=True)
     n_min = (x_nm / window.lambda_max_nm) ** 2
     n_max = x_nm / window.lambda_min_nm
     # the tolerance keeps the exact collapse point x = lambda_max**2/lambda_min
@@ -106,6 +111,9 @@ def _schedule(
     scheme: str, n_lo: int, n_hi: int, window: SpectralWindow, ratio: float
 ) -> MeasurementPlan:
     """Runs at x = n_hi*lambda_min / ratio**i covering [n_hi*lambda_min/x, n_lo*lambda_max/x]."""
+    # ratio**MAX_RUNS < sqrt(n_hi) in logs: no division, so a ratio of exactly 1.0 is caught too
+    if MAX_RUNS * math.log(ratio) < 0.5 * math.log(n_hi):
+        raise DegenerateBandwidth(f"ratio {ratio!r} is too close to 1: over {MAX_RUNS} runs needed")
     runs = []
     x = n_hi * window.lambda_min_nm
     for _ in range(_run_count(n_hi, ratio)):
@@ -121,12 +129,9 @@ def plan_single_number(n: int, window: SpectralWindow) -> MeasurementPlan:
     interval [beta**i, beta**(i+1)] and consecutive runs tile [1, sqrt(n)]
     with no gaps (the last run may overshoot by up to one beta factor).
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 4:
-        raise ValueError(f"n must be an integer >= 4, got {n!r}")
-    _checked_reach(n, window.lambda_max_nm)
+    checked_int(n, "n", lo=4)
+    checked_reach(n, window.lambda_max_nm)
     beta = window.lambda_max_nm / window.lambda_min_nm
-    if beta <= 1.0 + 1e-9:
-        raise DegenerateBandwidth(f"bandwidth ratio beta={beta!r} is too close to 1 to schedule runs")
     return _schedule("single-number", n, n, window, beta)
 
 
@@ -138,12 +143,9 @@ def plan_number_range(n_min: int, n_max: int, window: SpectralWindow) -> Measure
     otherwise the window cannot serve the whole range and the error reports
     the minimum bandwidth that would.
     """
-    for label, value in (("n_min", n_min), ("n_max", n_max)):
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ValueError(f"{label} must be an integer, got {value!r}")
-    if not 4 <= n_min < n_max:
-        raise ValueError(f"need 4 <= n_min < n_max, got ({n_min}, {n_max})")
-    _checked_reach(n_max, window.lambda_max_nm)
+    checked_int(n_min, "n_min", lo=4)
+    checked_int(n_max, "n_max", lo=n_min + 1)
+    checked_reach(n_max, window.lambda_max_nm)
     beta = window.lambda_max_nm / window.lambda_min_nm
     gamma = beta * n_min / n_max
     if gamma <= 1.0:
@@ -159,10 +161,8 @@ def displacement_estimate(digits: int, lambda_min_nm: float) -> DisplacementEsti
     targets are representable.  Check exceeds_universe_size before taking
     the number seriously as an experiment.
     """
-    if not isinstance(digits, int) or isinstance(digits, bool) or digits < 1:
-        raise ValueError(f"digits must be an integer >= 1, got {digits!r}")
-    if not (math.isfinite(lambda_min_nm) and lambda_min_nm > 0):
-        raise ValueError(f"lambda_min_nm must be positive and finite, got {lambda_min_nm!r}")
+    checked_int(digits, "digits", lo=1)
+    checked_real(lambda_min_nm, "lambda_min_nm", 0, strict=True)
     lam_log10 = math.log10(lambda_min_nm)
     lam_exp = math.floor(lam_log10)
     mantissa = 10.0 ** (lam_log10 - lam_exp)

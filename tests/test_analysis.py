@@ -9,6 +9,7 @@ from curlicue import (
     Interferogram,
     InterferometerConfig,
     NoiseModel,
+    OutOfRange,
     PrecisionExceeded,
     SpectralWindow,
     SumSpec,
@@ -63,6 +64,8 @@ class TestRescale:
     def test_rejects_small_targets(self, demo_interferogram):
         with pytest.raises(ValueError):
             rescale(demo_interferogram, 1)
+        with pytest.raises(OutOfRange):
+            rescale(demo_interferogram, 10**400)
 
 
 class TestQWindow:

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -181,6 +182,12 @@ class TestPlan:
                      "--lambda-min", "400", "--lambda-max", "800"])
         assert code == 5
 
+    def test_run_budget_exit_two_fast(self, capsys):
+        start = time.perf_counter()
+        assert main(["plan", "--n", "9409", "--lambda-min", "400", "--lambda-max", "400.000001"]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_missing_target_exit_two(self):
         assert main(["plan", "--lambda-min", "400", "--lambda-max", "800"]) == 2
 
@@ -246,6 +253,23 @@ def test_bad_target_is_exit_two(demo_file, tmp_path, capsys, argv):
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "x.svg").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["factor", "--n", "1308567", "--epsilon", "nan"],
+        ["factor", "--n", "1308567", "--epsilon", "-1"],
+        ["factor", "--n", "1308567", "--threshold", "nan"],
+        ["factor", "--n", "1308567", "--threshold", "inf"],
+        ["scan", "--targets", "1308567", "--epsilon", "nan"],
+    ],
+    ids=["epsilon-nan", "epsilon-negative", "threshold-nan", "threshold-inf", "scan-epsilon-nan"],
+)
+def test_bad_gate_is_exit_two(demo_file, capsys, argv):
+    # the demo spectrum holds 1131 x 1157, so "no factors found" would be silently wrong here
+    assert main(argv + ["--interferogram", str(demo_file)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 @pytest.mark.parametrize("command", ["factor", "plot"])

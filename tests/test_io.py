@@ -158,3 +158,61 @@ class TestParseErrors:
         text = f"{VERSION_LINE}\n# x_nm 10\nlambda_nm,intensity\n400.0,0.1\n401.0,0.1\n"
         with pytest.raises(FileFormatError):
             loads_interferogram(text)
+
+    def test_invalid_utf8_file(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        text = f"{VERSION_LINE}\n# x_nm=10\n# M=2\n# d=2\n# operator=J\u00e9r\u00f4me\nlambda_nm,intensity\n"
+        path.write_bytes((text + "400.0,0.1\n401.0,0.1\n").encode("latin-1"))
+        with pytest.raises(FileFormatError, match="UTF-8"):
+            read_interferogram(path)
+
+
+FUZZ_LINES = [
+    VERSION_LINE,
+    "# x_nm=1605.0",
+    "# M=3",
+    "# d=2",
+    "# seed=0",
+    "lambda_nm,intensity",
+    "400.0,0.0",
+    "400.5,0.125",
+    "401.25,1.0",
+    "402.0,0.5",
+]
+FUZZ_JUNK = ["", "#", "# =", "# M=1", "# d=x", "# x_nm=nan", "1e400,0.5", "400.0", ",", "nan,nan", "a,b,c"]
+FUZZ_CHARS = "0123456789.,-+eE#= \tnaifx_\x00\u00e9"
+
+
+def _mutated(rng: random.Random) -> str:
+    """FUZZ_LINES after 1-3 line replacements, deletions, insertions, swaps or character garbles."""
+    lines = list(FUZZ_LINES)
+    for _ in range(rng.randint(1, 3)):
+        op = rng.choice(("replace", "delete", "insert", "swap", "garble")) if lines else "insert"
+        i = rng.randrange(len(lines)) if lines else 0
+        if op == "replace":
+            lines[i] = rng.choice(FUZZ_LINES + FUZZ_JUNK)
+        elif op == "delete":
+            del lines[i]
+        elif op == "insert":
+            lines.insert(i, rng.choice(FUZZ_LINES + FUZZ_JUNK))
+        elif op == "swap":
+            j = rng.randrange(len(lines))
+            lines[i], lines[j] = lines[j], lines[i]
+        else:
+            k = rng.randrange(len(lines[i]) + 1)
+            lines[i] = lines[i][:k] + rng.choice(FUZZ_CHARS) + lines[i][k + 1 :]
+    return "\n".join(lines) + "\n"
+
+
+def test_fuzzed_files_parse_or_raise_file_format_error():
+    rng = random.Random(2011)
+    outcomes = {"parsed": 0, "rejected": 0}
+    for _ in range(2000):
+        text = _mutated(rng)
+        try:
+            loads_interferogram(text)
+            outcomes["parsed"] += 1
+        except FileFormatError:
+            outcomes["rejected"] += 1
+    # both sides are exercised, so the mutations neither all break nor all miss the format
+    assert outcomes["parsed"] > 100 and outcomes["rejected"] > 100, outcomes

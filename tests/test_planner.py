@@ -16,6 +16,7 @@ from curlicue import (
     plan_number_range,
     plan_single_number,
 )
+from curlicue.planner import MAX_RUNS
 
 LAMP = SpectralWindow(400.0, 800.0)
 
@@ -119,6 +120,9 @@ class TestPlanSingleNumber:
     def test_degenerate_bandwidth(self):
         with pytest.raises(DegenerateBandwidth):
             plan_single_number(100, SpectralWindow(400.0, 400.0000001))
+        # beta = 1 + 2.5e-9 would take about 1.8e9 runs
+        with pytest.raises(DegenerateBandwidth):
+            plan_single_number(9409, SpectralWindow(400.0, 400.000001))
 
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
@@ -168,6 +172,12 @@ class TestPlanNumberRange:
             assert nxt.xi_lo == pytest.approx(prev.xi_hi, rel=1e-9)
         assert plan.runs[0].xi_lo == pytest.approx(1.0, rel=1e-9)
         assert plan.runs[-1].xi_hi >= math.sqrt(1000) * (1 - 1e-9)
+
+    def test_run_budget(self):
+        # the same budget that refuses a near-1 beta refuses a near-1 gamma
+        assert plan_number_range(1000, 1999, LAMP).n_runs == 7599 < MAX_RUNS
+        with pytest.raises(DegenerateBandwidth):
+            plan_number_range(1000, 1999, SpectralWindow(400.0, 799.61))
 
     def test_rejects_bad_bounds(self):
         with pytest.raises(ValueError):
