@@ -56,19 +56,20 @@ def rescale(ig: Interferogram, n: int) -> RescaledInterferogram:
     """Relabel the wavelength axis as xi_n = n*lambda/x; intensities untouched."""
     checked_int(n, "target", lo=2)
     lam = ig.wavelengths()
-    checked_reach(n, float(np.abs(lam).max()), ig.displacement_unit_nm)
+    checked_reach(lambda: n * float(lam[-1]) / ig.displacement_unit_nm, "n*lambda/x")
     xi = n * lam / ig.displacement_unit_nm
     return RescaledInterferogram(n=n, points=np.column_stack((xi, ig.intensities())))
 
 
 def _ratio_bounds(x_nm: float, lam_lo: float, lam_hi: float) -> tuple[int, int]:
-    return math.ceil(x_nm / lam_hi), math.floor(x_nm / lam_lo)
+    q_lo = checked_reach(lambda: x_nm / lam_hi, "x/lambda_max")
+    return math.ceil(q_lo), math.floor(checked_reach(lambda: x_nm / lam_lo, "x/lambda_min"))
 
 
 def q_window(x_nm: float, window: SpectralWindow) -> tuple[int, int]:
     """Smallest and largest integer ratio q = x/lambda reachable in the window."""
-    checked_real(x_nm, "x_nm", 0, strict=True)
-    lo, hi = _ratio_bounds(x_nm, window.lambda_min_nm, window.lambda_max_nm)
+    x = checked_real(x_nm, "x_nm", 0, strict=True)
+    lo, hi = _ratio_bounds(x, window.lambda_min_nm, window.lambda_max_nm)
     if lo > hi:
         raise EmptyWindow(
             f"no integer ratio reachable for x={x_nm:g} nm over "

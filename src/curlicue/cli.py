@@ -17,12 +17,7 @@ from typing import Optional, Sequence
 from . import io as igio
 from . import plotting
 from .analysis import DEFAULT_EPSILON, DEFAULT_THRESHOLD, FactorReport, extract_factors, scan_targets
-from .errors import (
-    CurlicueError,
-    InsufficientBandwidth,
-    PrecisionExceeded,
-    UnderSampled,
-)
+from .errors import CurlicueError, InsufficientBandwidth, PrecisionExceeded, UnderSampled
 from .expsum import SumSpec
 from .interferometer import InterferometerConfig, NoiseModel, SpectralWindow, min_pixels, simulate
 from .oracle import divisors_in_window, trial_division
@@ -34,6 +29,11 @@ EXIT_USAGE = 2
 EXIT_UNDERSAMPLED = 3
 EXIT_PRECISION = 4
 EXIT_BANDWIDTH = 5
+_EXIT_CODES = (
+    (UnderSampled, EXIT_UNDERSAMPLED),
+    (PrecisionExceeded, EXIT_PRECISION),
+    (InsufficientBandwidth, EXIT_BANDWIDTH),
+)
 
 
 def _report_payload(report: FactorReport) -> dict:
@@ -149,7 +149,6 @@ def _cmd_plan(args) -> int:
             raise ValueError("need --n, or both --n-min and --n-max")
         plan = plan_number_range(args.n_min, args.n_max, window)
         extra = {"n_min": args.n_min, "n_max": args.n_max}
-    _print_json(_plan_payload(plan, extra))
     if args.emit_configs:
         out_dir = Path(args.emit_configs)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -166,6 +165,7 @@ def _cmd_plan(args) -> int:
                 "--order", str(args.order),
             ]
             (out_dir / f"run_{i:03d}.args").write_text("\n".join(flags) + "\n", encoding="utf-8")
+    _print_json(_plan_payload(plan, extra))  # after the configs, so a failed run prints no plan
     return EXIT_OK
 
 
@@ -262,18 +262,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UnderSampled as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNDERSAMPLED
-    except PrecisionExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECISION
-    except InsufficientBandwidth as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BANDWIDTH
     except (CurlicueError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return next((code for kind, code in _EXIT_CODES if isinstance(exc, kind)), EXIT_USAGE)
 
 
 if __name__ == "__main__":

@@ -2,6 +2,7 @@
 
 import math
 import sys
+from typing import Callable
 
 
 class CurlicueError(Exception):
@@ -49,7 +50,7 @@ class InsufficientBandwidth(CurlicueError):
 
 
 class OutOfRange(CurlicueError):
-    """Integer argument outside the supported range."""
+    """Integer argument outside the supported range, or a quotient of lengths outside float64."""
 
 
 class FileFormatError(CurlicueError):
@@ -74,12 +75,13 @@ def checked_real(value, name: str, lo: float, strict: bool) -> float:
     raise ValueError(f"{name} must be a finite number {'>' if strict else '>='} {lo:g}, got {value!r}")
 
 
-def checked_reach(n: int, lam_nm: float, x_nm: float = 1.0) -> float:
-    """n*lam_nm/x_nm in float64; OutOfRange when the target is too large for it."""
+def checked_reach(quotient: Callable[[], float], what: str) -> float:
+    """quotient() of lengths as the caller wrote it (lambda: n * lam / x; x**2 stays x**2, not x*x);
+    OutOfRange when it leaves float64: an int too big for a float, a zero divisor, inf or nan."""
     try:
-        reach = n * lam_nm / x_nm
-        if reach < math.inf:
+        reach = quotient()
+        if math.isfinite(reach):
             return reach
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):
         pass
-    raise OutOfRange(f"target {n} is too large: n*lambda/x overflows float64")
+    raise OutOfRange(f"{what} is outside the float64 range")

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import IndexOutOfRange, UnderSampled, checked_int, checked_real
+from .errors import IndexOutOfRange, UnderSampled, checked_int, checked_reach, checked_real
 from .expsum import SumSpec, main_lobe_halfwidth
 
 GENERATOR_VERSION = "curlicue-sim/1"
@@ -104,7 +104,7 @@ class NoiseModel:
 class Interferogram:
     """A recorded or simulated spectrum: intensity versus wavelength at fixed x.
 
-    samples is a read-only (N, 2) float64 copy of the given rows: wavelength (nm), intensity.
+    samples is a read-only (N, 2) float64 copy of the rows: wavelength (nm) > 0, ascending; intensity >= 0.
     """
 
     displacement_unit_nm: float
@@ -120,8 +120,8 @@ class Interferogram:
         if len(samples) < 2:
             raise ValueError("an interferogram needs at least 2 samples")
         lam, inten = samples.T
-        if not (np.all(np.isfinite(lam)) and np.all(np.diff(lam) > 0)):
-            raise ValueError("sample wavelengths must be finite and strictly increasing")
+        if not (np.all(np.isfinite(lam)) and lam[0] > 0 and np.all(np.diff(lam) > 0)):
+            raise ValueError("sample wavelengths must be finite, positive and strictly increasing")
         if not (np.all(np.isfinite(inten)) and np.all(inten >= 0)):
             raise ValueError("intensities must be finite and >= 0")
         samples.flags.writeable = False
@@ -159,7 +159,10 @@ def min_pixels(config: InterferometerConfig, window: SpectralWindow) -> int:
     """
     halfwidth = main_lobe_halfwidth(config.sum_spec)
     span = window.lambda_max_nm - window.lambda_min_nm
-    required = 4.0 * config.displacement_unit_nm * span / (halfwidth * window.lambda_min_nm**2)
+    required = checked_reach(
+        lambda: 4.0 * config.displacement_unit_nm * span / (halfwidth * window.lambda_min_nm**2),
+        "the pixel count 4*x*(lambda_max - lambda_min)/(halfwidth*lambda_min**2)",
+    )
     return max(2, math.ceil(required * (1.0 - 1e-9)))
 
 

@@ -77,9 +77,9 @@ def factorable_range(x_nm: float, window: SpectralWindow) -> Optional[tuple[floa
     sqrt(n); n_max = x/lambda_min from the largest reachable ratio.  Returns
     None when the interval is empty (x too large for the bandwidth).
     """
-    checked_real(x_nm, "x_nm", 0, strict=True)
-    n_min = (x_nm / window.lambda_max_nm) ** 2
-    n_max = x_nm / window.lambda_min_nm
+    x = checked_real(x_nm, "x_nm", 0, strict=True)
+    n_min = checked_reach(lambda: (x / window.lambda_max_nm) ** 2, "(x/lambda_max)**2")
+    n_max = checked_reach(lambda: x / window.lambda_min_nm, "x/lambda_min")
     # the tolerance keeps the exact collapse point x = lambda_max**2/lambda_min
     # feasible in the face of rounding
     if n_min > n_max * (1.0 + 1e-12):
@@ -89,13 +89,17 @@ def factorable_range(x_nm: float, window: SpectralWindow) -> Optional[tuple[floa
 
 def max_displacement(window: SpectralWindow) -> float:
     """Largest displacement (nm) for which factorable_range is still nonempty."""
-    return window.lambda_max_nm**2 / window.lambda_min_nm
+    return checked_reach(lambda: window.lambda_max_nm**2 / window.lambda_min_nm, "max displacement")
+
+
+def _beta(window: SpectralWindow) -> float:
+    return checked_reach(lambda: window.lambda_max_nm / window.lambda_min_nm, "lambda_max/lambda_min")
 
 
 def bandwidth_summary(window: SpectralWindow) -> BandwidthSummary:
     """Bandwidth ratio beta and the single-window ceiling beta**2."""
-    beta = window.lambda_max_nm / window.lambda_min_nm
-    return BandwidthSummary(beta=beta, single_window_n_max=beta * beta)
+    beta = _beta(window)
+    return BandwidthSummary(beta=beta, single_window_n_max=checked_reach(lambda: beta * beta, "beta**2"))
 
 
 def _run_count(n_top: int, ratio: float) -> int:
@@ -130,9 +134,8 @@ def plan_single_number(n: int, window: SpectralWindow) -> MeasurementPlan:
     with no gaps (the last run may overshoot by up to one beta factor).
     """
     checked_int(n, "n", lo=4)
-    checked_reach(n, window.lambda_max_nm)
-    beta = window.lambda_max_nm / window.lambda_min_nm
-    return _schedule("single-number", n, n, window, beta)
+    checked_reach(lambda: n * window.lambda_max_nm, "n*lambda_max")
+    return _schedule("single-number", n, n, window, _beta(window))
 
 
 def plan_number_range(n_min: int, n_max: int, window: SpectralWindow) -> MeasurementPlan:
@@ -145,9 +148,9 @@ def plan_number_range(n_min: int, n_max: int, window: SpectralWindow) -> Measure
     """
     checked_int(n_min, "n_min", lo=4)
     checked_int(n_max, "n_max", lo=n_min + 1)
-    checked_reach(n_max, window.lambda_max_nm)
-    beta = window.lambda_max_nm / window.lambda_min_nm
-    gamma = beta * n_min / n_max
+    checked_reach(lambda: n_max * window.lambda_max_nm, "n_max*lambda_max")
+    beta = _beta(window)
+    gamma = checked_reach(lambda: beta * n_min / n_max, "gamma = beta*n_min/n_max")
     if gamma <= 1.0:
         raise InsufficientBandwidth(gamma=gamma, min_beta=n_max / n_min)
     return _schedule("number-range", n_min, n_max, window, gamma)

@@ -117,7 +117,7 @@ def interferogram_svg(ig: Interferogram, targets: Sequence[int] = ()) -> str:
             f'<line x1="{_LEFT}" y1="{axis_y}" x2="{_LEFT + plot_w}" y2="{axis_y}" '
             f'stroke="{color}" stroke-width="1"/>'
         )
-        xi_hi = checked_reach(n, lam1, x_nm)
+        xi_hi = checked_reach(lambda: n * lam1 / x_nm, "n*lambda/x")
         xi_lo = n * lam0 / x_nm
         first = math.ceil(xi_lo)
         last = math.floor(xi_hi)

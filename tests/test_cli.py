@@ -24,9 +24,13 @@ def demo_file(tmp_path_factory):
     return path
 
 
+def _no_constant(name):
+    raise AssertionError(f"stdout holds {name}, which is not JSON")
+
+
 def run_json(capsys, argv):
     code = main(argv)
-    return code, json.loads(capsys.readouterr().out)
+    return code, json.loads(capsys.readouterr().out, parse_constant=_no_constant)
 
 
 class TestSimulate:
@@ -242,17 +246,65 @@ HUGE = str(10**400)
         ["plot", "--n", HUGE],
         ["plan", "--n", HUGE],
         ["plan", "--n-min", "4", "--n-max", HUGE],
+        # quotients of lengths outside float64: min_pixels (simulate, --emit-configs), beta, gamma
+        ["simulate", "--x", "1", "--lambda-min", "1e-200", "--lambda-max", "1", "--pixels", "4"],
+        ["simulate", "--x", "1e300", "--lambda-min", "1e-10", "--lambda-max", "1", "--pixels", "4"],
+        ["plan", "--n", "9409", "--lambda-min", "1e-200", "--lambda-max", "1", "--emit-configs", "{tmp}"],
+        ["plan", "--n", "9409", "--lambda-min", "1e-300", "--lambda-max", "1e300"],
+        ["plan", "--n-min", "4", "--n-max", "5", "--lambda-min", "1e-300", "--lambda-max", "1e300"],
+        ["plan", "--n-min", "10000", "--n-max", "10001", "--lambda-min", "1e-300", "--lambda-max", "1e5"],
     ],
-    ids=["plot-zero", "plot-negative", "plot-huge", "plan-huge", "plan-range-huge"],
+    ids=[
+        "plot-zero", "plot-negative", "plot-huge", "plan-huge", "plan-range-huge",
+        "simulate-zero-divisor", "simulate-overflow", "plan-emit-zero-divisor", "plan-beta-inf",
+        "plan-range-beta-inf", "plan-range-gamma-inf",
+    ],
 )
 def test_bad_target_is_exit_two(demo_file, tmp_path, capsys, argv):
+    argv = [arg.format(tmp=tmp_path / "runs") for arg in argv]
     if argv[0] == "plot":
         argv = argv + ["--interferogram", str(demo_file), "--out", str(tmp_path / "x.svg")]
-    else:
+    elif "--lambda-min" not in argv:
         argv = argv + ["--lambda-min", "400", "--lambda-max", "800"]
     assert main(argv) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ")
+    assert out == ""  # in particular no plan with Infinity or NaN
     assert not (tmp_path / "x.svg").exists()
+
+
+def _hand_edited(path, x_nm, rows):
+    header = f"# curlicue-interferogram v1\n# x_nm={x_nm}\n# M=3\n# d=2\nlambda_nm,intensity\n"
+    path.write_text(header + "".join(f"{lam},0.1\n" for lam in rows))
+    return path
+
+
+# x/lambda_min overflows on the first file; the second starts at a negative wavelength
+EDITED_FILES = {"tiny-lambda": ("1e10", ["5e-324", "1.0", "2.0"]), "negative-lambda": ("10", ["-1e308", "1.0"])}
+
+
+@pytest.mark.parametrize(
+    "name, command",
+    [("tiny-lambda", "factor"), ("tiny-lambda", "scan"), ("negative-lambda", "factor"),
+     ("negative-lambda", "scan"), ("negative-lambda", "plot")],
+)
+def test_hand_edited_wavelengths_are_exit_two(tmp_path, capsys, name, command):
+    edited = _hand_edited(tmp_path / "edited.csv", *EDITED_FILES[name])
+    argv = [command, "--interferogram", str(edited)]
+    argv += ["--targets", "10000000000"] if command == "scan" else ["--n", "10000000000"]
+    if command == "plot":
+        argv += ["--out", str(tmp_path / "x.svg")]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and out == ""
+    assert not (tmp_path / "x.svg").exists()
+
+
+def test_tiny_wavelength_file_still_plots(tmp_path):
+    # n*lambda/x stays in range here, so only the q window is out of float64 range
+    edited = _hand_edited(tmp_path / "edited.csv", *EDITED_FILES["tiny-lambda"])
+    assert main(["plot", "--interferogram", str(edited), "--n", "10000000000", "--out", str(tmp_path / "x.svg")]) == 0
+    assert (tmp_path / "x.svg").read_text().endswith("</svg>\n")
 
 
 @pytest.mark.parametrize(

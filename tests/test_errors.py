@@ -11,9 +11,15 @@ from curlicue import (
     OutOfRange,
     SpectralWindow,
     SumSpec,
+    bandwidth_summary,
     displacement_estimate,
     divisors_in_window,
+    factorable_range,
+    max_displacement,
+    min_pixels,
     path_length,
+    plan_number_range,
+    plan_single_number,
     q_window,
 )
 from curlicue.errors import checked_int, checked_real
@@ -38,10 +44,26 @@ SPEC = SumSpec(3, 2)
         (lambda: NoiseModel(mirror_sigma_nm="10"), ValueError),
         (lambda: NoiseModel(detector_sigma="0.1"), ValueError),
         (lambda: displacement_estimate(5, "100"), ValueError),
+        # a quotient of lengths that leaves float64
+        (lambda: q_window(1e10, SpectralWindow(5e-324, 1.0)), OutOfRange),
+        (lambda: min_pixels(InterferometerConfig(1.0, SPEC), SpectralWindow(1e-200, 1.0, 4)), OutOfRange),
+        (lambda: min_pixels(InterferometerConfig(1e300, SPEC), SpectralWindow(1e-10, 1.0, 4)), OutOfRange),
+        (lambda: min_pixels(InterferometerConfig(1.0, SPEC), SpectralWindow(1e160, 2e160, 4)), OutOfRange),
+        (lambda: max_displacement(SpectralWindow(1e-300, 1e300)), OutOfRange),
+        (lambda: factorable_range(1e300, SpectralWindow(1.0, 2.0)), OutOfRange),
+        (lambda: factorable_range(1e10, SpectralWindow(1e-300, 1.0)), OutOfRange),
+        (lambda: bandwidth_summary(SpectralWindow(1e-300, 1e300)), OutOfRange),
+        (lambda: bandwidth_summary(SpectralWindow(1e-100, 1e100)), OutOfRange),
+        (lambda: plan_single_number(9409, SpectralWindow(1e-300, 1e300)), OutOfRange),
+        (lambda: plan_number_range(4, 5, SpectralWindow(1e-300, 1e300)), OutOfRange),
+        (lambda: plan_number_range(10**4, 10**4 + 1, SpectralWindow(1e-300, 1e5)), OutOfRange),
     ],
     ids=[
         "bool-x", "bool-r", "bool-q-window-x", "bool-lambda", "bool-lo", "bool-hi", "bool-arm",
         "str-lambda-min", "str-lambda-max", "str-mirror-sigma", "str-detector-sigma", "str-lambda-estimate",
+        "q-window-tiny-lambda", "min-pixels-zero-divisor", "min-pixels-overflow", "min-pixels-square-overflow",
+        "max-displacement-overflow", "factorable-n-min-overflow", "factorable-n-max-inf",
+        "beta-inf", "beta-squared-inf", "plan-beta-inf", "plan-range-beta-inf", "plan-range-gamma-inf",
     ],
 )
 def test_one_rule_for_every_argument(call, expected):

@@ -194,6 +194,11 @@ class TestInterferogramType:
         with pytest.raises(ValueError):
             Interferogram(1.0, demo_spec, rows)
 
+    @pytest.mark.parametrize("lam", [0.0, -1.0, -1e308])
+    def test_rejects_non_positive_wavelength(self, demo_spec, lam):
+        with pytest.raises(ValueError):
+            Interferogram(1.0, demo_spec, ((lam, 0.5), (401.0, 0.5)))
+
     @pytest.mark.parametrize("x_nm", [0.0, -5.0, math.inf, math.nan])
     def test_rejects_bad_displacement(self, demo_spec, x_nm):
         with pytest.raises(ValueError):
