@@ -78,30 +78,17 @@ def q_window(x_nm: float, window: SpectralWindow) -> tuple[int, int]:
     return lo, hi
 
 
-def _parabolic_vertex(
-    x0: float, x1: float, x2: float, y0: float, y1: float, y2: float
-) -> tuple[float, float]:
-    """Vertex of the parabola through three points; falls back to the middle one."""
-    u0 = x0 - x1
-    u2 = x2 - x1
-    d0 = (y0 - y1) / u0
-    d2 = (y2 - y1) / u2
-    a = (d2 - d0) / (u2 - u0)
-    if not a < 0.0:
-        return x1, y1
-    b = d2 - a * u2
-    u = -b / (2.0 * a)
-    u = min(max(u, u0), u2)
-    return x1 + u, y1 + (a * u + b) * u
-
-
 def detect_peaks(ig: Interferogram, threshold: float = DEFAULT_THRESHOLD) -> list[PeakCandidate]:
     """Strict interior local maxima at or above threshold, parabola-refined.
 
-    Each maximum is refined through its two neighbors to a sub-pixel peak
-    wavelength, from which the integer ratio q and its residual follow.
-    Candidates sharing the same q are merged keeping the strongest; the
-    result is ordered by wavelength.
+    Each maximum is refined through its two neighbors to the vertex of the
+    parabola through the three points (the middle point itself where the
+    parabola does not open downward), from which the integer ratio q and its
+    residual follow.  Candidates sharing the same q are merged keeping the
+    strongest; the result is ordered by wavelength.
+
+    Cost per spectrum: one numpy pass over the N pixels, one over the k
+    maxima, then k `decompose` calls in Python.
     """
     checked_real(threshold, "threshold", -math.inf, strict=False)
     lam = ig.wavelengths()
@@ -109,19 +96,27 @@ def detect_peaks(ig: Interferogram, threshold: float = DEFAULT_THRESHOLD) -> lis
     if lam.size < 3:
         return []
     mid = inten[1:-1]
-    mask = (mid > inten[:-2]) & (mid > inten[2:]) & (mid >= threshold)
+    i = np.flatnonzero((mid > inten[:-2]) & (mid > inten[2:]) & (mid >= threshold)) + 1
+    x1, y1 = lam[i], inten[i]
+    with np.errstate(all="ignore"):  # where a >= 0, -b/(2a) may divide by zero; np.where drops it
+        u0 = lam[i - 1] - x1
+        u2 = lam[i + 1] - x1
+        d0 = (inten[i - 1] - y1) / u0
+        d2 = (inten[i + 1] - y1) / u2
+        a = (d2 - d0) / (u2 - u0)
+        b = d2 - a * u2
+        u = np.minimum(np.maximum(-b / (2.0 * a), u0), u2)
+        vertex = a < 0.0
+        lam_pk = np.where(vertex, x1 + u, x1)
+        int_pk = np.where(vertex, y1 + (a * u + b) * u, y1)
     best: dict[int, PeakCandidate] = {}
-    for i in np.flatnonzero(mask) + 1:
-        lam_pk, int_pk = _parabolic_vertex(
-            lam[i - 1], lam[i], lam[i + 1], inten[i - 1], inten[i], inten[i + 1]
-        )
-        dec = decompose(ig.displacement_unit_nm / lam_pk)
+    for lam_i, int_i in zip(lam_pk.tolist(), int_pk.tolist()):
+        dec = decompose(ig.displacement_unit_nm / lam_i)
         if dec.k < 1:
             continue
-        cand = PeakCandidate(float(lam_pk), float(int_pk), dec.k, dec.tau)
         known = best.get(dec.k)
-        if known is None or cand.intensity_peak > known.intensity_peak:
-            best[dec.k] = cand
+        if known is None or int_i > known.intensity_peak:
+            best[dec.k] = PeakCandidate(lam_i, int_i, dec.k, dec.tau)
     return sorted(best.values(), key=lambda c: c.lambda_peak_nm)
 
 
@@ -150,10 +145,23 @@ def scan_targets(
     """One FactorReport per target from a single detection and gating pass.
 
     Nothing but the exact division depends on the target, so peaks are
-    detected, windowed and epsilon-gated once, and each target then costs
-    one n % q per gated ratio.
+    detected, windowed and epsilon-gated once per spectrum (see
+    `detect_peaks` for that cost).  When there are several targets and every
+    one is an int below 2**63, one int64 remainder over all targets and the
+    g gated ratios finds the targets with a divisor, and only those repeat
+    the division on Python ints; otherwise each target costs g exact
+    divisions.  Either way each target then costs one FactorReport.
     """
-    target_list = [checked_int(n, "target", lo=4) for n in targets]
+    target_list = list(targets)
+    # for one target the g divisions cost less than building the int64 columns
+    columnar = (
+        len(target_list) > 1
+        and set(map(type, target_list)) == {int}
+        and 4 <= min(target_list)
+        and max(target_list) < 2**63
+    )
+    if not columnar:  # a bad target raises here, at its first position
+        target_list = [checked_int(n, "target", lo=4) for n in target_list]
     if not target_list:
         raise ValueError("targets must be nonempty")
     checked_real(epsilon, "epsilon", 0, strict=False)
@@ -167,10 +175,19 @@ def scan_targets(
     gated_qs = sorted({p.q for p in gated})
     counts = {"peaks": len(peaks), "in_window": len(in_window), "integer_gated": len(gated)}
 
-    # per target: exact division decides
+    # per target: exact division decides, on the rows the int64 remainder selects
+    if columnar:
+        qs = np.array(gated_qs, dtype=np.int64)
+        col = np.array(target_list, dtype=np.int64)[:, None]
+        rows = np.flatnonzero(((col % qs == 0) & (1 < qs) & (qs < col)).any(axis=1)).tolist()
+    else:
+        rows = range(len(target_list))
+    pairs: list[tuple[tuple[int, int], ...]] = [()] * len(target_list)
+    for i in rows:
+        n = target_list[i]
+        pairs[i] = tuple((q, n // q) for q in gated_qs if 1 < q < n and n % q == 0)
     reports = []
-    for n in target_list:
-        factors = tuple((q, n // q) for q in gated_qs if 1 < q < n and n % q == 0)
+    for n, factors in zip(target_list, pairs):
         counts_n = {**counts, "factors": len(factors)}
         diagnostics = {"threshold": threshold, "epsilon": epsilon, "counts": counts_n}
         reports.append(FactorReport(n, (q_lo, q_hi), in_window, factors, diagnostics))

@@ -36,25 +36,50 @@ _EXIT_CODES = (
 )
 
 
+# stands in for the candidate list, encoded once per list; no other string value is in a report
+_CANDIDATES = "@candidates"
+
+
 def _report_payload(report: FactorReport) -> dict:
     return {
         "n": report.n,
         "q_window": [report.q_window[0], report.q_window[1]],
         "factors": [[q, c] for q, c in report.factors],
-        "candidates": [
-            {
-                "lambda_peak": cand.lambda_peak_nm,
-                "intensity": cand.intensity_peak,
-                "q": cand.q,
-                "residual": cand.residual,
-            }
-            for cand in report.candidates
-        ],
+        "candidates": _CANDIDATES,
         "params": {
             "threshold": report.diagnostics["threshold"],
             "epsilon": report.diagnostics["epsilon"],
         },
     }
+
+
+def _candidates_payload(candidates) -> list:
+    return [
+        {
+            "lambda_peak": cand.lambda_peak_nm,
+            "intensity": cand.intensity_peak,
+            "q": cand.q,
+            "residual": cand.residual,
+        }
+        for cand in candidates
+    ]
+
+
+def _print_reports(reports: Sequence[FactorReport], listed: bool) -> None:
+    """Print what print(json.dumps(payloads, indent=2)) prints: the list of the reports'
+    payloads if `listed`, else the one report's payload.  Reports of one scan share their
+    candidate list, which is encoded once, and the list is written one report at a time."""
+    pad = "\n  " if listed else "\n"
+    candidates, encoded = None, ""
+    out = sys.stdout
+    out.write("[" + pad if listed else "")
+    for i, report in enumerate(reports):
+        if report.candidates is not candidates:
+            candidates = report.candidates
+            encoded = json.dumps(_candidates_payload(candidates), indent=2).replace("\n", pad + "  ")
+        text = json.dumps(_report_payload(report), indent=2).replace("\n", pad)
+        out.write(("," + pad if i else "") + text.replace(f'"{_CANDIDATES}"', encoded))
+    out.write("\n]\n" if listed else "\n")
 
 
 def _report_text(report: FactorReport) -> str:
@@ -102,7 +127,7 @@ def _cmd_factor(args) -> int:
     ig = igio.read_interferogram(args.interferogram)
     report = extract_factors(ig, args.n, threshold=args.threshold, epsilon=args.epsilon)
     if args.format == "json":
-        _print_json(_report_payload(report))
+        _print_reports([report], listed=False)
     else:
         print(_report_text(report))
     return EXIT_OK if report.factors else EXIT_NO_FACTORS
@@ -120,7 +145,7 @@ def _cmd_scan(args) -> int:
         targets = _parse_targets(Path(args.targets_file).read_text(encoding="utf-8"))
     ig = igio.read_interferogram(args.interferogram)
     reports = scan_targets(ig, targets, threshold=args.threshold, epsilon=args.epsilon)
-    _print_json([_report_payload(r) for r in reports])
+    _print_reports(reports, listed=True)
     return EXIT_OK if any(r.factors for r in reports) else EXIT_NO_FACTORS
 
 
@@ -150,20 +175,21 @@ def _cmd_plan(args) -> int:
         plan = plan_number_range(args.n_min, args.n_max, window)
         extra = {"n_min": args.n_min, "n_max": args.n_max}
     if args.emit_configs:
-        out_dir = Path(args.emit_configs)
-        out_dir.mkdir(parents=True, exist_ok=True)
         spec = SumSpec(args.paths, args.order)
-        for i, run in enumerate(plan.runs):
+        run_flags = []
+        for run in plan.runs:  # every run's flags first: a refused run leaves no directory
             config = InterferometerConfig(displacement_unit_nm=run.x_nm, sum_spec=spec)
-            pixels = min_pixels(config, window)
-            flags = [
+            run_flags.append([
                 "--x", repr(run.x_nm),
                 "--lambda-min", repr(float(args.lambda_min)),
                 "--lambda-max", repr(float(args.lambda_max)),
-                "--pixels", str(pixels),
+                "--pixels", str(min_pixels(config, window)),
                 "--paths", str(args.paths),
                 "--order", str(args.order),
-            ]
+            ])
+        out_dir = Path(args.emit_configs)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for i, flags in enumerate(run_flags):
             (out_dir / f"run_{i:03d}.args").write_text("\n".join(flags) + "\n", encoding="utf-8")
     _print_json(_plan_payload(plan, extra))  # after the configs, so a failed run prints no plan
     return EXIT_OK

@@ -13,6 +13,7 @@ from curlicue import (
     PrecisionExceeded,
     SpectralWindow,
     SumSpec,
+    decompose,
     detect_peaks,
     divisors_in_window,
     extract_factors,
@@ -23,6 +24,8 @@ from curlicue import (
     scan_targets,
     simulate,
 )
+from curlicue.analysis import PeakCandidate
+from curlicue.errors import checked_int
 
 from conftest import DEMO_X_NM
 
@@ -149,6 +152,73 @@ class TestDetectPeaks:
         assert peaks[0].intensity_peak >= 0.95
 
 
+def _parabolic_vertex(x0, x1, x2, y0, y1, y2):
+    """Vertex of the parabola through three points; falls back to the middle one."""
+    u0 = x0 - x1
+    u2 = x2 - x1
+    d0 = (y0 - y1) / u0
+    d2 = (y2 - y1) / u2
+    a = (d2 - d0) / (u2 - u0)
+    if not a < 0.0:
+        return x1, y1
+    b = d2 - a * u2
+    u = -b / (2.0 * a)
+    u = min(max(u, u0), u2)
+    return x1 + u, y1 + (a * u + b) * u
+
+
+def reference_peaks(ig, threshold):
+    """detect_peaks as one scalar vertex and one decompose per maximum: the reference."""
+    lam = ig.wavelengths()
+    inten = ig.intensities()
+    if lam.size < 3:
+        return []
+    mid = inten[1:-1]
+    mask = (mid > inten[:-2]) & (mid > inten[2:]) & (mid >= threshold)
+    best = {}
+    for i in np.flatnonzero(mask) + 1:
+        lam_pk, int_pk = _parabolic_vertex(
+            lam[i - 1], lam[i], lam[i + 1], inten[i - 1], inten[i], inten[i + 1]
+        )
+        dec = decompose(ig.displacement_unit_nm / lam_pk)
+        if dec.k < 1:
+            continue
+        cand = PeakCandidate(float(lam_pk), float(int_pk), dec.k, dec.tau)
+        known = best.get(dec.k)
+        if known is None or cand.intensity_peak > known.intensity_peak:
+            best[dec.k] = cand
+    return sorted(best.values(), key=lambda c: c.lambda_peak_nm)
+
+
+@pytest.mark.parametrize("threshold", [0.7, 0.3, -1.0])
+@pytest.mark.parametrize("mirror_sigma", [0.0, 10.0, 50.0, 100.0])
+def test_detect_peaks_matches_scalar_reference(demo_config, demo_window, mirror_sigma, threshold):
+    # -1.0 keeps every strict maximum, those outside the q window included
+    for seed in range(3):
+        noise = None if mirror_sigma == 0.0 else NoiseModel(mirror_sigma, detector_sigma=0.02, seed=seed)
+        ig = simulate(demo_config, demo_window, noise)
+        want = reference_peaks(ig, threshold)
+        assert want
+        assert repr(detect_peaks(ig, threshold)) == repr(want)
+
+
+def test_detect_peaks_matches_reference_on_the_fallback():
+    # the slopes underflow to zero, so a is -0.0 and the parabola falls back to the middle point
+    ig = make_interferogram(4e10, [(1e10, 0.0), (2e10, 5e-324), (3e10, 0.0)])
+    want = reference_peaks(ig, -1.0)
+    assert want == [PeakCandidate(2e10, 5e-324, 2, 0.0)]
+    assert repr(detect_peaks(ig, -1.0)) == repr(want)
+
+
+def test_detect_peaks_ceiling_message_matches_reference():
+    ig = make_interferogram(6e14, [(400.0, 0.1), (401.0, 0.9), (402.0, 0.1)])
+    with pytest.raises(PrecisionExceeded) as want:
+        reference_peaks(ig, 0.7)
+    with pytest.raises(PrecisionExceeded) as got:
+        detect_peaks(ig, 0.7)
+    assert str(got.value) == str(want.value)
+
+
 class TestExtractFactors:
     def test_demo_targets(self, demo_interferogram):
         assert extract_factors(demo_interferogram, 1308567).factors == ((1131, 1157),)
@@ -234,6 +304,53 @@ class TestScanTargets:
     def test_rejects_empty_targets(self, demo_interferogram):
         with pytest.raises(ValueError):
             scan_targets(demo_interferogram, [])
+
+    @pytest.mark.parametrize("position", [0, 2, 4])
+    @pytest.mark.parametrize("bad", [True, "1308567", 1308567.0, 3])
+    def test_first_bad_target_gives_the_rule_message(self, demo_interferogram, bad, position):
+        with pytest.raises(ValueError) as want:
+            checked_int(bad, "target", lo=4)
+        targets = [1308567, 1306349, 1308568, 1131 * 1000, 2]  # 2 is bad too, and comes later
+        targets[position] = bad
+        with pytest.raises(ValueError) as got:
+            scan_targets(demo_interferogram, targets)
+        assert str(got.value) == str(want.value)
+
+    def test_targets_beyond_int64_mix_with_small_ones(self, demo_interferogram):
+        targets = [1308567, 1131 * 2**63, 2**63, 1306349, 1133 * 3**50, 2**63 - 1, 1135 * (2**63 // 1135)]
+        want = [tuple((q, n // q) for q in range(1130, 1137) if n % q == 0) for n in targets]
+        got = [r.factors for r in scan_targets(demo_interferogram, targets)]
+        assert got == want
+        assert got[1] == ((1131, 2**63),) and got[4] == ((1133, 3**50),) and got[6]
+
+    def test_targets_at_or_below_a_gated_ratio_report_no_pair(self, demo_interferogram):
+        targets = [4, 5, 1000, 1130, 1131, 1136, 2 * 1131]
+        factors = [r.factors for r in scan_targets(demo_interferogram, targets)]
+        assert factors == [()] * 6 + [((1131, 2),)]
+
+    def test_generator_of_targets(self, demo_interferogram):
+        targets = [1308567, 1306349, 1308568]
+        assert scan_targets(demo_interferogram, iter(targets)) == scan_targets(demo_interferogram, targets)
+        assert scan_targets(demo_interferogram, (n for n in targets)) == scan_targets(
+            demo_interferogram, targets
+        )
+
+    @pytest.mark.parametrize("mirror_sigma", [0.0, 50.0])
+    def test_many_targets_match_per_target_division(self, demo_config, demo_window, mirror_sigma):
+        noise = None if mirror_sigma == 0.0 else NoiseModel(mirror_sigma, detector_sigma=0.02, seed=3)
+        ig = simulate(demo_config, demo_window, noise)
+        lo, hi = q_window(DEMO_X_NM, SpectralWindow(*ig.wavelengths()[[0, -1]].tolist()))
+        qs = sorted({p.q for p in detect_peaks(ig) if lo <= p.q <= hi and abs(p.residual) <= 0.05})
+        rng = random.Random(11)
+        targets = [rng.randint(4, 3000) for _ in range(10_000)]
+        targets += [rng.randint(1_250_000, 1_350_000) for _ in range(80_000)]
+        targets += [rng.choice(range(1130, 1137)) * rng.randint(2, 8 * 10**15) for _ in range(10_000)]
+        rng.shuffle(targets)
+        reports = scan_targets(ig, targets)
+        assert [r.n for r in reports] == targets
+        want = [tuple((q, n // q) for q in qs if 1 < q < n and n % q == 0) for n in targets]
+        assert [r.factors for r in reports] == want
+        assert sum(map(bool, want)) > 10_000
 
     def test_diagnostics_counts(self, demo_interferogram):
         report = extract_factors(demo_interferogram, 1308567)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -210,6 +211,22 @@ class TestPlan:
         assert payload["factors"] == [[97, 97]]
 
 
+    def test_emit_configs_after_every_run_is_planned(self, tmp_path, capsys):
+        # min_pixels refuses this window, so no directory may be left behind
+        refused = tmp_path / "refused"
+        assert main(["plan", "--n", "9409", "--lambda-min", "1e-200", "--lambda-max", "1",
+                     "--emit-configs", str(refused)]) == 2
+        assert not refused.exists()
+        run_dir = tmp_path / "runs"
+        assert main(["plan", "--n", "9409", "--lambda-min", "400", "--lambda-max", "800",
+                     "--emit-configs", str(run_dir)]) == 0
+        digest = hashlib.sha256()
+        for path in sorted(run_dir.iterdir()):
+            digest.update(path.name.encode() + path.read_bytes())
+        # the files as written before the flags were computed ahead of the directory
+        assert digest.hexdigest() == "d14e8308dc725d09b2aa4fcfb3b2fa00cbdb98c55c5f4103321ab7766bd3d3ae"
+
+
 class TestPlot:
     def test_deterministic_svg(self, demo_file, tmp_path):
         a, b = tmp_path / "a.svg", tmp_path / "b.svg"
@@ -335,6 +352,32 @@ def test_bad_displacement_in_file_is_exit_two(demo_file, tmp_path, capsys, comma
     assert main(argv) == 2
     assert "displacement_unit_nm" in capsys.readouterr().err
     assert not (tmp_path / "x.svg").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["factor", "--n", "1308567"], 0),
+        (["factor", "--n", "1308568", "--format", "json"], 1),
+        (["scan", "--targets", "1308567,1306349,1308568,1131000,1299709"], 0),
+        (["scan", "--targets", "1308568,1299709"], 1),
+        (["factor", "--n", "1308567", "--flat"], 1),
+        (["scan", "--targets", "1308567,1306349", "--flat"], 1),
+    ],
+    ids=["factor", "factor-none", "scan", "scan-none", "factor-no-candidates", "scan-no-candidates"],
+)
+def test_report_json_is_indent_two(demo_file, tmp_path, capsys, argv, code):
+    # reports are written piecewise; the bytes must still be json.dumps(..., indent=2)
+    path = demo_file
+    if argv[-1] == "--flat":
+        argv = argv[:-1]
+        path = _hand_edited(tmp_path / "flat.csv", "523426.8", [460.36 + 0.01 * j for j in range(64)])
+    assert main(argv + ["--interferogram", str(path)]) == code
+    out = capsys.readouterr().out
+    payload = json.loads(out, parse_constant=_no_constant)
+    assert out == json.dumps(payload, indent=2) + "\n"
+    reports = payload if argv[0] == "scan" else [payload]
+    assert all(r["candidates"] for r in reports) == (path == demo_file)
 
 
 class TestOracleCommand:
