@@ -138,6 +138,14 @@ def _parse_targets(raw: str) -> list[int]:
     return [int(tok) for tok in tokens if tok]
 
 
+def _parse_window(raw: str) -> tuple[int, int]:
+    try:
+        lo, hi = (int(tok) for tok in raw.split(","))
+    except ValueError:
+        raise ValueError(f"--window must be LO,HI, two integers such as 1130,1136; got {raw!r}") from None
+    return lo, hi
+
+
 def _cmd_scan(args) -> int:
     if args.targets is not None:
         targets = _parse_targets(args.targets)
@@ -210,8 +218,7 @@ def _cmd_oracle(args) -> int:
         "divisors": fact.divisors(),
     }
     if args.window:
-        lo_s, _, hi_s = args.window.partition(",")
-        lo, hi = int(lo_s), int(hi_s)
+        lo, hi = _parse_window(args.window)
         payload["window"] = [lo, hi]
         payload["window_divisors"] = divisors_in_window(args.n, lo, hi)
     _print_json(payload)
@@ -275,9 +282,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_plot)
 
-    p = sub.add_parser("oracle", help="trial-division factorization ground truth")
+    p = sub.add_parser("oracle", help="exact factorization ground truth (Miller-Rabin and trial division)")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--window", help="lo,hi divisor window")
+    p.add_argument("--window", help="LO,HI divisor window")
     p.set_defaults(func=_cmd_oracle)
 
     return parser

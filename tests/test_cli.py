@@ -401,6 +401,13 @@ class TestOracleCommand:
     def test_bad_n_exit_two(self):
         assert main(["oracle", "--n", "1"]) == 2
 
+    @pytest.mark.parametrize("window", ["1130", "1130,x", "1,2,3"])
+    def test_bad_window_names_the_form(self, capsys, window):
+        assert main(["oracle", "--n", "1308567", "--window", window]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --window must be LO,HI, two integers such as 1130,1136; got {window!r}\n"
+
 
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):

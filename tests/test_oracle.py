@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import pytest
 
@@ -15,6 +16,78 @@ def is_prime_naive(n):
             return False
         f += 1
     return True
+
+
+def reference_trial_division(n):
+    """The plain 6k+-1 wheel the oracle used before it tested cofactors for primality."""
+    remaining = n
+    powers = []
+    for p in (2, 3):
+        if remaining % p == 0:
+            exp = 0
+            while remaining % p == 0:
+                remaining //= p
+                exp += 1
+            powers.append((p, exp))
+    f = 5
+    while f * f <= remaining:
+        for cand in (f, f + 2):
+            if remaining % cand == 0:
+                exp = 0
+                while remaining % cand == 0:
+                    remaining //= cand
+                    exp += 1
+                powers.append((cand, exp))
+        f += 6
+    if remaining > 1:
+        powers.append((remaining, 1))
+    return Factorization(n, tuple(powers))
+
+
+def timed(fn, *args):
+    start = time.perf_counter()
+    result = fn(*args)
+    return result, time.perf_counter() - start
+
+
+class TestAgainstReference:
+    def test_every_n_below_ten_to_the_five(self):
+        for n in range(2, 10**5):
+            assert trial_division(n) == reference_trial_division(n), n
+
+    def test_seeded_n_up_to_ten_to_the_twelve(self):
+        # log-uniform, so every magnitude is hit; 833 or so of them lie above 10**11
+        rng = random.Random(8)
+        for _ in range(10**4):
+            n = int(10 ** rng.uniform(math.log10(2), 12))
+            assert trial_division(n) == reference_trial_division(n), n
+
+    @pytest.mark.parametrize("n", [561, 41041, 825265, 2047, 3215031751])
+    def test_pseudoprimes(self, n):
+        # Carmichael numbers and strong pseudoprimes to the smallest bases
+        fact = trial_division(n)
+        assert fact == reference_trial_division(n)
+        assert not fact.is_prime
+
+    def test_strong_pseudoprime_to_bases_up_to_31(self):
+        # passes Miller-Rabin to every prime base from 2 to 31; base 37 shows it composite
+        n = 3825123056546413051
+        fact = trial_division(n)
+        assert fact.prime_powers == ((149491, 1), (747451, 1), (34233211, 1))
+        assert fact == reference_trial_division(n)
+
+    @pytest.mark.parametrize(
+        "n,powers",
+        [
+            (2**61 - 1, ((2**61 - 1, 1),)),
+            (2 * (2**61 - 1), ((2, 1), (2**61 - 1, 1))),
+            (2**63 - 25, ((2**63 - 25, 1),)),  # the largest prime below 2**63
+        ],
+    )
+    def test_large_primes_are_fast(self, n, powers):
+        fact, seconds = timed(trial_division, n)
+        assert fact.prime_powers == powers
+        assert seconds < 0.5
 
 
 class TestTrialDivision:
@@ -90,6 +163,48 @@ class TestDivisorsInWindow:
             n = rng.randint(4, 10**9)
             has = bool(divisors_in_window(n, 2, math.isqrt(n)))
             assert has == (not trial_division(n).is_prime)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 99, 100, 1308567, 999_999_937, 2**20 * 3**5, 10**10])
+    def test_branches_agree_at_the_square_root(self, n):
+        # hi - lo = isqrt(n) - 1 is scanned directly, hi - lo = isqrt(n) is read off the factorization
+        root = math.isqrt(n)
+        divs = reference_trial_division(n).divisors()
+        for width in (root - 1, root):
+            for lo in (1, 2, root // 2 + 1, root, root + 1, n - width):
+                if lo >= 1:
+                    want = [d for d in divs if lo <= d <= lo + width]
+                    assert divisors_in_window(n, lo, lo + width) == want, (lo, width)
+
+    def test_edges(self):
+        assert divisors_in_window(12, 5, 100) == [6, 12]  # hi > n, wide
+        assert divisors_in_window(10**6, 999_000, 1_000_500) == [10**6]  # hi > n, narrow
+        assert divisors_in_window(10**6, 1, 10) == [1, 2, 4, 5, 8, 10]  # lo == 1, narrow
+        assert divisors_in_window(12, 1, 12) == [1, 2, 3, 4, 6, 12]  # lo == 1, wide
+        assert divisors_in_window(1, 1, 10**6) == [1]
+        assert divisors_in_window(1, 2, 2) == []
+
+    def test_seeded_narrow_windows(self):
+        rng = random.Random(15)
+        for _ in range(10**3):
+            a = rng.randint(1, 10**7)
+            n = a * rng.randint(1, 10**15 // a)
+            if n == 1:
+                continue
+            width = rng.randint(0, min(math.isqrt(n) - 1, 300))
+            lo = max(1, a - rng.randint(0, width))
+            direct = [d for d in range(lo, lo + width + 1) if n % d == 0]
+            assert divisors_in_window(n, lo, lo + width) == direct, (n, lo, width)
+
+    def test_narrow_window_of_a_large_prime_is_fast(self):
+        got, seconds = timed(divisors_in_window, 999_999_999_999_989, 1130, 1136)
+        assert got == []
+        assert seconds < 0.5
+
+    def test_wide_window_of_a_large_prime_is_fast(self):
+        # 5e7 - 1 >= isqrt(n) ~ 3.2e7: read off the factorization, not scanned
+        got, seconds = timed(divisors_in_window, 999_999_999_999_989, 1, 5 * 10**7)
+        assert got == [1]
+        assert seconds < 0.5
 
     @pytest.mark.parametrize("lo,hi", [(0, 5), (5, 4), (-1, 3)])
     def test_bad_window(self, lo, hi):
