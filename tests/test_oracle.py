@@ -5,6 +5,7 @@ import time
 import pytest
 
 from curlicue import Factorization, OutOfRange, divisors_in_window, trial_division
+from curlicue.oracle import _SCAN_WIDTH
 
 
 def is_prime_naive(n):
@@ -69,8 +70,8 @@ class TestAgainstReference:
         assert fact == reference_trial_division(n)
         assert not fact.is_prime
 
-    def test_strong_pseudoprime_to_bases_up_to_31(self):
-        # passes Miller-Rabin to every prime base from 2 to 31; base 37 shows it composite
+    def test_strong_pseudoprime_to_bases_up_to_23(self):
+        # passes Miller-Rabin to every prime base from 2 to 23; base 29 shows it composite
         n = 3825123056546413051
         fact = trial_division(n)
         assert fact.prime_powers == ((149491, 1), (747451, 1), (34233211, 1))
@@ -164,16 +165,14 @@ class TestDivisorsInWindow:
             has = bool(divisors_in_window(n, 2, math.isqrt(n)))
             assert has == (not trial_division(n).is_prime)
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 99, 100, 1308567, 999_999_937, 2**20 * 3**5, 10**10])
-    def test_branches_agree_at_the_square_root(self, n):
-        # hi - lo = isqrt(n) - 1 is scanned directly, hi - lo = isqrt(n) is read off the factorization
-        root = math.isqrt(n)
+    @pytest.mark.parametrize("n", [2, 12, 99, 5040, 1308567, 999_999_937, 2**20 * 3**5, 10**10, 2**62])
+    def test_branches_agree_at_the_cutoff(self, n):
+        # hi - lo = _SCAN_WIDTH - 1 is scanned directly, hi - lo = _SCAN_WIDTH is read off the factorization
         divs = reference_trial_division(n).divisors()
-        for width in (root - 1, root):
-            for lo in (1, 2, root // 2 + 1, root, root + 1, n - width):
-                if lo >= 1:
-                    want = [d for d in divs if lo <= d <= lo + width]
-                    assert divisors_in_window(n, lo, lo + width) == want, (lo, width)
+        for width in (_SCAN_WIDTH - 1, _SCAN_WIDTH):
+            for lo in {1, 2, n // 2, max(1, n - width), n}:
+                want = [d for d in divs if lo <= d <= lo + width]
+                assert divisors_in_window(n, lo, lo + width) == want, (lo, width)
 
     def test_edges(self):
         assert divisors_in_window(12, 5, 100) == [6, 12]  # hi > n, wide
@@ -190,7 +189,7 @@ class TestDivisorsInWindow:
             n = a * rng.randint(1, 10**15 // a)
             if n == 1:
                 continue
-            width = rng.randint(0, min(math.isqrt(n) - 1, 300))
+            width = rng.randint(0, 300)
             lo = max(1, a - rng.randint(0, width))
             direct = [d for d in range(lo, lo + width + 1) if n % d == 0]
             assert divisors_in_window(n, lo, lo + width) == direct, (n, lo, width)
@@ -200,10 +199,19 @@ class TestDivisorsInWindow:
         assert got == []
         assert seconds < 0.5
 
-    def test_wide_window_of_a_large_prime_is_fast(self):
-        # 5e7 - 1 >= isqrt(n) ~ 3.2e7: read off the factorization, not scanned
-        got, seconds = timed(divisors_in_window, 999_999_999_999_989, 1, 5 * 10**7)
-        assert got == [1]
+    @pytest.mark.parametrize(
+        "n,lo,hi,count",
+        [
+            (999_999_999_999_989, 1, 5 * 10**7, 1),  # a prime
+            (10**18, 1, 10**9 - 1, 180),  # 2**18 * 5**18: the 180 of its 361 divisors below 10**9
+            (2**62, 1, 2**31 - 1, 31),
+        ],
+    )
+    def test_wide_windows_are_read_off_a_fast_factorization(self, n, lo, hi, count):
+        # far wider than the direct scan's cutoff: a scan would take minutes
+        got, seconds = timed(divisors_in_window, n, lo, hi)
+        assert got == [d for d in trial_division(n).divisors() if lo <= d <= hi]
+        assert len(got) == count
         assert seconds < 0.5
 
     @pytest.mark.parametrize("lo,hi", [(0, 5), (5, 4), (-1, 3)])
