@@ -194,9 +194,17 @@ class TestDivisorsInWindow:
             direct = [d for d in range(lo, lo + width + 1) if n % d == 0]
             assert divisors_in_window(n, lo, lo + width) == direct, (n, lo, width)
 
-    def test_narrow_window_of_a_large_prime_is_fast(self):
-        got, seconds = timed(divisors_in_window, 999_999_999_999_989, 1130, 1136)
-        assert got == []
+    @pytest.mark.parametrize(
+        "n,lo,hi,want",
+        [
+            (999_999_999_999_989, 1130, 1136, []),  # a prime
+            # a balanced semiprime near 10**18, whose factorization takes about 3*10**8 divisions
+            (999_999_937 * 1_000_000_007, 999_999_934, 999_999_940, [999_999_937]),
+        ],
+    )
+    def test_narrow_windows_are_fast(self, n, lo, hi, want):
+        got, seconds = timed(divisors_in_window, n, lo, hi)
+        assert got == want
         assert seconds < 0.5
 
     @pytest.mark.parametrize(
