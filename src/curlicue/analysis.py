@@ -93,8 +93,6 @@ def detect_peaks(ig: Interferogram, threshold: float = DEFAULT_THRESHOLD) -> lis
     checked_real(threshold, "threshold", -math.inf, strict=False)
     lam = ig.wavelengths()
     inten = ig.intensities()
-    if lam.size < 3:
-        return []
     mid = inten[1:-1]
     i = np.flatnonzero((mid > inten[:-2]) & (mid > inten[2:]) & (mid >= threshold)) + 1
     x1, y1 = lam[i], inten[i]

@@ -65,21 +65,20 @@ def _candidates_payload(candidates) -> list:
     ]
 
 
-def _print_reports(reports: Sequence[FactorReport], listed: bool) -> None:
-    """Print what print(json.dumps(payloads, indent=2)) prints: the list of the reports'
-    payloads if `listed`, else the one report's payload.  Reports of one scan share their
-    candidate list, which is encoded once, and the list is written one report at a time."""
-    pad = "\n  " if listed else "\n"
+def _print_reports(reports: Sequence[FactorReport]) -> None:
+    """Print what print(json.dumps(payloads, indent=2)) prints for the list of the reports'
+    payloads.  Reports of one scan share their candidate list, which is encoded once, and
+    the list is written one report at a time."""
     candidates, encoded = None, ""
     out = sys.stdout
-    out.write("[" + pad if listed else "")
+    out.write("[\n  ")
     for i, report in enumerate(reports):
         if report.candidates is not candidates:
             candidates = report.candidates
-            encoded = json.dumps(_candidates_payload(candidates), indent=2).replace("\n", pad + "  ")
-        text = json.dumps(_report_payload(report), indent=2).replace("\n", pad)
-        out.write(("," + pad if i else "") + text.replace(f'"{_CANDIDATES}"', encoded))
-    out.write("\n]\n" if listed else "\n")
+            encoded = json.dumps(_candidates_payload(candidates), indent=2).replace("\n", "\n    ")
+        text = json.dumps(_report_payload(report), indent=2).replace("\n", "\n  ")
+        out.write((",\n  " if i else "") + text.replace(f'"{_CANDIDATES}"', encoded))
+    out.write("\n]\n")
 
 
 def _report_text(report: FactorReport) -> str:
@@ -127,15 +126,22 @@ def _cmd_factor(args) -> int:
     ig = igio.read_interferogram(args.interferogram)
     report = extract_factors(ig, args.n, threshold=args.threshold, epsilon=args.epsilon)
     if args.format == "json":
-        _print_reports([report], listed=False)
+        _print_json({**_report_payload(report), "candidates": _candidates_payload(report.candidates)})
     else:
         print(_report_text(report))
     return EXIT_OK if report.factors else EXIT_NO_FACTORS
 
 
-def _parse_targets(raw: str) -> list[int]:
-    tokens = [tok for chunk in raw.split(",") for tok in chunk.split()]
-    return [int(tok) for tok in tokens if tok]
+def _parse_targets(raw: str, source: str) -> list[int]:
+    targets = []
+    for tok in raw.replace(",", " ").split():
+        try:
+            targets.append(int(tok))
+        except ValueError:
+            raise ValueError(
+                f"{source} must hold integers separated by commas or spaces; got {tok!r}"
+            ) from None
+    return targets
 
 
 def _parse_window(raw: str) -> tuple[int, int]:
@@ -148,12 +154,13 @@ def _parse_window(raw: str) -> tuple[int, int]:
 
 def _cmd_scan(args) -> int:
     if args.targets is not None:
-        targets = _parse_targets(args.targets)
+        targets = _parse_targets(args.targets, "--targets")
     else:
-        targets = _parse_targets(Path(args.targets_file).read_text(encoding="utf-8"))
+        raw = Path(args.targets_file).read_text(encoding="utf-8")
+        targets = _parse_targets(raw, f"--targets-file {args.targets_file}")
     ig = igio.read_interferogram(args.interferogram)
     reports = scan_targets(ig, targets, threshold=args.threshold, epsilon=args.epsilon)
-    _print_reports(reports, listed=True)
+    _print_reports(reports)
     return EXIT_OK if any(r.factors for r in reports) else EXIT_NO_FACTORS
 
 
@@ -295,7 +302,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CurlicueError, ValueError, OSError) as exc:
+    except (CurlicueError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next((code for kind, code in _EXIT_CODES if isinstance(exc, kind)), EXIT_USAGE)
 

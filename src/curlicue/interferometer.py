@@ -166,6 +166,10 @@ def min_pixels(config: InterferometerConfig, window: SpectralWindow) -> int:
     return max(2, math.ceil(required * (1.0 - 1e-9)))
 
 
+# what noise=None means: seed 0, no mirror or detector noise, equal arm weights
+_NOISELESS = NoiseModel(mirror_sigma_nm=0.0)
+
+
 def _stream(seed: int, purpose: int, index: int) -> np.random.Generator:
     key = np.array([seed % 2**64, ((purpose << 32) | index) % 2**64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
@@ -180,12 +184,15 @@ def simulate(
 ) -> Interferogram:
     """Sample the interferogram on the window's pixel grid.
 
-    Without a noise model the result at pixel j is exactly the normalized
-    sum intensity at x/lambda_j.  With one, static per-arm placement errors,
+    noise=None is the zero model, NoiseModel(mirror_sigma_nm=0.0): the result
+    at pixel j is exactly the normalized sum intensity at x/lambda_j, and no
+    random number is drawn.  Otherwise static per-arm placement errors,
     amplitude weights, and per-pixel detector noise (clipped to the valid
     intensity band) apply on top.  The same config, window, and noise model
     (seed included) always produce identical output.
     """
+    if noise is None:
+        noise = _NOISELESS
     required = min_pixels(config, window)
     if window.pixel_count < required and not allow_undersampled:
         raise UnderSampled(required=required, given=window.pixel_count)
@@ -194,7 +201,7 @@ def simulate(
     arms = spec.path_count
     coeffs = [float(m**spec.order) for m in range(arms)]
 
-    if noise is not None and noise.arm_weights is not None:
+    if noise.arm_weights is not None:
         if len(noise.arm_weights) != arms:
             raise ValueError(f"expected {arms} arm weights, got {len(noise.arm_weights)}")
         weights = list(noise.arm_weights)
@@ -202,7 +209,7 @@ def simulate(
         weights = [1.0 / arms] * arms
 
     deltas = [0.0] * arms
-    if noise is not None and noise.mirror_sigma_nm > 0:
+    if noise.mirror_sigma_nm > 0:
         deltas = [
             float(_stream(noise.seed, _PURPOSE_MIRROR, m).normal(0.0, noise.mirror_sigma_nm))
             for m in range(arms)
@@ -211,7 +218,7 @@ def simulate(
     lam = window.pixel_centers()
     detector = None
     ceiling = 1.0
-    if noise is not None and noise.detector_sigma > 0:
+    if noise.detector_sigma > 0:
         detector = _stream(noise.seed, _PURPOSE_DETECTOR, 0).normal(
             0.0, noise.detector_sigma, size=window.pixel_count
         )
@@ -236,14 +243,10 @@ def simulate(
 
     provenance = {
         "r_nm": repr(float(config.reference_length_nm)),
-        "seed": str(noise.seed if noise is not None else 0),
-        "mirror_sigma_nm": repr(float(noise.mirror_sigma_nm) if noise is not None else 0.0),
-        "detector_sigma": repr(float(noise.detector_sigma) if noise is not None else 0.0),
-        "arm_weights": (
-            "equal"
-            if noise is None or noise.arm_weights is None
-            else ",".join(repr(w) for w in noise.arm_weights)
-        ),
+        "seed": str(noise.seed),
+        "mirror_sigma_nm": repr(noise.mirror_sigma_nm),
+        "detector_sigma": repr(noise.detector_sigma),
+        "arm_weights": "equal" if noise.arm_weights is None else ",".join(map(repr, noise.arm_weights)),
         "generator": GENERATOR_VERSION,
     }
     return Interferogram(

@@ -10,8 +10,9 @@ the whole domain n < 2**63.
 
 Cost of one query: a prime, 12 modular exponentiations; a composite, trial
 division up to its second-largest prime factor (about 10**9 divisions for a
-balanced semiprime near 2**63); a divisor window with hi - lo < 2048,
-hi - lo + 1 divisions, about as long as one Miller-Rabin test at most.
+balanced semiprime near 2**63); a divisor window with min(hi, n) - lo < 2048,
+one division per integer in [lo, min(hi, n)], about as long as one
+Miller-Rabin test at most.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ _MAX_N = 2**63 - 1
 # deterministic Miller-Rabin bases: the smallest strong pseudoprime to all of them
 # is 318665857834031151167461, about 3.19e23
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-# windows with hi - lo below this are scanned directly: 2048 divisions take
+# windows with min(hi, n) - lo below this are scanned directly: 2048 divisions take
 # about 190 us, as long as one Miller-Rabin test of a 13- to 19-digit prime
 # (120-260 us), so a scan costs at most about one primality test more than the
 # factorization it skips
@@ -110,14 +111,15 @@ def trial_division(n: int) -> Factorization:
 def divisors_in_window(n: int, lo: int, hi: int) -> list[int]:
     """Divisors d of n with lo <= d <= hi, ascending; 1 <= n < 2**63.
 
-    A window with hi - lo < 2048 is scanned directly, hi - lo + 1 divisions
-    at most; a wider one is read off the factorization.
+    No divisor exceeds n, so [lo, min(hi, n)] is the part of the window to
+    search.  When min(hi, n) - lo < 2048 it is scanned directly, 2048
+    divisions at most (none when lo > n); otherwise the divisors are read
+    off the factorization.
     """
     checked_int(lo, "lo", 1, error=OutOfRange)
     checked_int(hi, "hi", lo, error=OutOfRange)
     checked_int(n, "n", 1, _MAX_N, error=OutOfRange)
-    if n == 1:
-        return [1] if lo == 1 else []
-    if hi - lo < _SCAN_WIDTH:
-        return [d for d in range(lo, min(hi, n) + 1) if n % d == 0]
+    top = min(hi, n)
+    if top - lo < _SCAN_WIDTH:
+        return [d for d in range(lo, top + 1) if n % d == 0]
     return [d for d in trial_division(n).divisors() if lo <= d <= hi]

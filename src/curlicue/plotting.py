@@ -28,6 +28,14 @@ def _dev(value: float) -> str:
     return f"{value:.2f}"
 
 
+def _line(x1, y1, x2, y2, color: str) -> str:
+    return f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="{color}" stroke-width="1"/>'
+
+
+def _label(x, y, anchor: str, color: str, body) -> str:
+    return f'<text x="{x}" y="{y}" text-anchor="{anchor}" fill="{color}">{body}</text>'
+
+
 def interferogram_svg(ig: Interferogram, targets: Sequence[int] = ()) -> str:
     """Render a self-contained SVG chart; at most two rescaled-axis targets."""
     targets = [checked_int(n, "target", lo=2) for n in targets]
@@ -43,10 +51,10 @@ def interferogram_svg(ig: Interferogram, targets: Sequence[int] = ()) -> str:
     height = _PLOT_H + top + bottom
     plot_w = _WIDTH - _LEFT - _RIGHT
 
-    def x_dev(lam: float) -> float:
+    def x_dev(lam):  # a float or a whole column
         return _LEFT + (lam - lam0) / (lam1 - lam0) * plot_w
 
-    def y_dev(inten: float) -> float:
+    def y_dev(inten):
         return top + (1.0 - inten / y_max) * _PLOT_H
 
     out = [
@@ -62,14 +70,8 @@ def interferogram_svg(ig: Interferogram, targets: Sequence[int] = ()) -> str:
     for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
         val = frac * y_max
         y = y_dev(val)
-        out.append(
-            f'<line x1="{_LEFT - 4}" y1="{_dev(y)}" x2="{_LEFT}" y2="{_dev(y)}" '
-            f'stroke="{_AXIS_COLOR}" stroke-width="1"/>'
-        )
-        out.append(
-            f'<text x="{_LEFT - 8}" y="{_dev(y + 4)}" text-anchor="end" '
-            f'fill="{_AXIS_COLOR}">{val:g}</text>'
-        )
+        out.append(_line(_LEFT - 4, _dev(y), _LEFT, _dev(y), _AXIS_COLOR))
+        out.append(_label(_LEFT - 8, _dev(y + 4), "end", _AXIS_COLOR, f"{val:g}"))
     out.append(
         f'<text x="14" y="{_dev(top + _PLOT_H / 2)}" text-anchor="middle" fill="{_AXIS_COLOR}" '
         f'transform="rotate(-90 14 {_dev(top + _PLOT_H / 2)})">intensity</text>'
@@ -80,22 +82,12 @@ def interferogram_svg(ig: Interferogram, targets: Sequence[int] = ()) -> str:
     for k in range(5):
         lam = lam0 + (lam1 - lam0) * k / 4
         x = x_dev(lam)
-        out.append(
-            f'<line x1="{_dev(x)}" y1="{base}" x2="{_dev(x)}" y2="{base + 4}" '
-            f'stroke="{_AXIS_COLOR}" stroke-width="1"/>'
-        )
-        out.append(
-            f'<text x="{_dev(x)}" y="{base + 18}" text-anchor="middle" '
-            f'fill="{_AXIS_COLOR}">{lam:.6g}</text>'
-        )
-    out.append(
-        f'<text x="{_dev(_LEFT + plot_w / 2)}" y="{base + 34}" text-anchor="middle" '
-        f'fill="{_AXIS_COLOR}">wavelength (nm)</text>'
-    )
+        out.append(_line(_dev(x), base, _dev(x), base + 4, _AXIS_COLOR))
+        out.append(_label(_dev(x), base + 18, "middle", _AXIS_COLOR, f"{lam:.6g}"))
+    out.append(_label(_dev(_LEFT + plot_w / 2), base + 34, "middle", _AXIS_COLOR, "wavelength (nm)"))
 
-    # data series: x_dev and y_dev over whole columns, same operation order
-    xs = _LEFT + (wavelengths - lam0) / (lam1 - lam0) * plot_w
-    ys = top + (1.0 - intensities / y_max) * _PLOT_H
+    # data series
+    xs, ys = x_dev(wavelengths), y_dev(intensities)
     points = " ".join(map("{:.2f},{:.2f}".format, xs.tolist(), ys.tolist()))
     out.append(
         f'<polyline points="{points}" fill="none" stroke="{_LINE_COLOR}" stroke-width="1"/>'
@@ -113,10 +105,7 @@ def interferogram_svg(ig: Interferogram, targets: Sequence[int] = ()) -> str:
             axis_y = top - 28
             tick_to = axis_y - 4
             label_y = axis_y - 10
-        out.append(
-            f'<line x1="{_LEFT}" y1="{axis_y}" x2="{_LEFT + plot_w}" y2="{axis_y}" '
-            f'stroke="{color}" stroke-width="1"/>'
-        )
+        out.append(_line(_LEFT, axis_y, _LEFT + plot_w, axis_y, color))
         xi_hi = checked_reach(lambda: n * lam1 / x_nm, "n*lambda/x")
         xi_lo = n * lam0 / x_nm
         first = math.ceil(xi_lo)
@@ -126,16 +115,9 @@ def interferogram_svg(ig: Interferogram, targets: Sequence[int] = ()) -> str:
         for k in range(first, last + 1, stride):
             lam_k = k * x_nm / n
             x = x_dev(lam_k)
-            out.append(
-                f'<line x1="{_dev(x)}" y1="{axis_y}" x2="{_dev(x)}" y2="{tick_to}" '
-                f'stroke="{color}" stroke-width="1"/>'
-            )
-            out.append(
-                f'<text x="{_dev(x)}" y="{label_y}" text-anchor="middle" fill="{color}">{k}</text>'
-            )
-        out.append(
-            f'<text x="{_LEFT - 8}" y="{label_y}" text-anchor="end" fill="{color}">n={n}</text>'
-        )
+            out.append(_line(_dev(x), axis_y, _dev(x), tick_to, color))
+            out.append(_label(_dev(x), label_y, "middle", color, k))
+        out.append(_label(_LEFT - 8, label_y, "end", color, f"n={n}"))
 
     spec = ig.sum_spec
     out.append(

@@ -106,6 +106,11 @@ class TestDetectPeaks:
     def test_too_short(self):
         assert detect_peaks(make_interferogram(1000.0, [(400.0, 0.1), (401.0, 0.2)])) == []
 
+    @pytest.mark.parametrize("threshold", [-1.0, 0.7])
+    def test_two_samples_have_no_interior_maximum(self, threshold):
+        ig = make_interferogram(1000.0, [(400.0, 0.1), (401.0, 0.9)])
+        assert detect_peaks(ig, threshold) == []
+
     def test_threshold_filters(self, demo_interferogram):
         none = detect_peaks(demo_interferogram, threshold=1.01)
         assert none == []

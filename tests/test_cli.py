@@ -73,6 +73,27 @@ class TestSimulate:
         main(DEMO_FLAGS + ["--seed", "9", "--mirror-sigma", "10", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
+    def test_stdout_holds_the_bytes_out_writes(self, tmp_path, capsys):
+        toy = ["simulate", "--x", "1600", "--lambda-min", "400", "--lambda-max", "800", "--paths", "2",
+               "--mirror-sigma", "10", "--seed", "4"]
+        out = tmp_path / "toy.csv"
+        assert main(toy + ["--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert main(toy) == 0
+        assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
+
+    def test_unallocatable_pixel_count_is_exit_two(self, tmp_path, capsys):
+        # 10**15 float64 wavelengths are 7.1 PiB, more than any 64-bit address space holds,
+        # so the allocation fails before a single page is touched
+        out = tmp_path / "x.csv"
+        argv = ["simulate", "--x", "523426.8", "--lambda-min", "460.36", "--lambda-max", "463.24",
+                "--pixels", str(10**15), "--out", str(out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert not out.exists()
+
     def test_plot_flag_writes_svg(self, tmp_path):
         svg = tmp_path / "toy.svg"
         code = main(
@@ -107,6 +128,13 @@ class TestFactor:
                      "--format", "text"]) == 0
         out = capsys.readouterr().out
         assert "factor: 1131 x 1157" in out
+
+    def test_text_format_without_factors_is_exit_one(self, demo_file, capsys):
+        assert main(["factor", "--interferogram", str(demo_file), "--n", "1308568",
+                     "--format", "text"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:3] == ["n = 1308568", "q window: [1130, 1136]", "no factors found"]
+        assert len(lines) == 3 + 7 and all(line.startswith("peak: q=") for line in lines[3:])
 
     def test_json_is_byte_stable(self, demo_file, capsys):
         main(["factor", "--interferogram", str(demo_file), "--n", "1308567"])
@@ -163,6 +191,27 @@ class TestScan:
         assert main(["scan", "--interferogram", str(demo_file), "--targets-file", str(empty)]) == 2
 
 
+    @pytest.mark.parametrize("raw, token", [("1e3", "1e3"), ("1308567, 12x", "12x"), ("1308567,,0.5", "0.5")])
+    def test_bad_targets_token_is_named(self, demo_file, capsys, raw, token):
+        assert main(["scan", "--interferogram", str(demo_file), "--targets", raw]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: --targets must hold integers separated by commas or spaces; got {token!r}\n"
+        )
+
+    def test_bad_targets_file_token_names_the_file(self, demo_file, tmp_path, capsys):
+        listing = tmp_path / "targets.txt"
+        listing.write_text("1308567\n1306349\nword\n")
+        assert main(["scan", "--interferogram", str(demo_file), "--targets-file", str(listing)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: --targets-file {listing} must hold integers separated by commas or spaces; "
+            "got 'word'\n"
+        )
+
+
 class TestPlan:
     def test_single_number(self, capsys):
         code, payload = run_json(
@@ -192,6 +241,14 @@ class TestPlan:
         assert main(["plan", "--n", "9409", "--lambda-min", "400", "--lambda-max", "400.000001"]) == 2
         assert time.perf_counter() - start < 1.0
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_single_and_range_together_exit_two(self, capsys):
+        argv = ["plan", "--n", "9409", "--n-min", "9000", "--n-max", "9999",
+                "--lambda-min", "400", "--lambda-max", "800"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: give either --n or --n-min/--n-max, not both\n"
 
     def test_missing_target_exit_two(self):
         assert main(["plan", "--lambda-min", "400", "--lambda-max", "800"]) == 2

@@ -12,13 +12,14 @@ from curlicue import (
     SpectralWindow,
     SumSpec,
     UnderSampled,
+    dumps_interferogram,
     intensity,
     main_lobe_halfwidth,
     min_pixels,
     path_length,
     simulate,
 )
-from conftest import DEMO_X_NM
+from conftest import DEMO_WINDOW, DEMO_X_NM
 
 
 class TestPathLength:
@@ -164,6 +165,27 @@ class TestNoise:
     def test_weight_count_checked_against_arms(self, demo_config, demo_window):
         with pytest.raises(ValueError):
             simulate(demo_config, demo_window, NoiseModel(0.0, (0.5, 0.5), 0.0, 0))
+
+    @pytest.mark.parametrize(
+        "x_nm, spec, lambdas",
+        [(DEMO_X_NM, SumSpec(3, 2), DEMO_WINDOW), (1600.0, SumSpec(2, 2), (400.0, 800.0))],
+        ids=["demo", "two-path-toy"],
+    )
+    def test_no_noise_is_the_zero_model(self, x_nm, spec, lambdas):
+        config = InterferometerConfig(x_nm, spec)
+        window = SpectralWindow(*lambdas, pixel_count=2048)
+        plain = simulate(config, window)
+        zero = simulate(config, window, NoiseModel(mirror_sigma_nm=0.0))
+        assert plain == zero  # samples bit for bit, and the provenance
+        assert dumps_interferogram(plain) == dumps_interferogram(zero)
+
+    def test_zero_model_draws_no_random_numbers(self, demo_config, demo_window, monkeypatch):
+        def no_stream(*args):
+            raise AssertionError("a noiseless run drew random numbers")
+
+        monkeypatch.setattr("curlicue.interferometer._stream", no_stream)
+        simulate(demo_config, demo_window)
+        simulate(demo_config, demo_window, NoiseModel(0.0, (0.8, 0.1, 0.1), 0.0, seed=5))
 
     def test_unbalanced_weights_lower_contrast(self, demo_config, demo_window):
         skew = NoiseModel(0.0, (0.8, 0.1, 0.1), 0.0, 0)

@@ -182,6 +182,32 @@ class TestDivisorsInWindow:
         assert divisors_in_window(1, 1, 10**6) == [1]
         assert divisors_in_window(1, 2, 2) == []
 
+    @pytest.mark.parametrize("n", [5040, 1308567, 2**20 * 3**5, 999_999_937])
+    def test_hi_beyond_n_is_cut_at_n(self, n):
+        # no divisor exceeds n: n - lo = _SCAN_WIDTH - 1 is scanned directly however large hi is,
+        # n - lo = _SCAN_WIDTH is read off the factorization
+        divs = reference_trial_division(n).divisors()
+        for gap in (_SCAN_WIDTH - 1, _SCAN_WIDTH):
+            lo = n - gap
+            assert divisors_in_window(n, lo, 10**18) == [d for d in divs if d >= lo], gap
+
+    @pytest.mark.parametrize("n", [1, 2, 1308567, 999_999_937 * 1_000_000_007])
+    def test_window_above_n_is_empty(self, n):
+        assert divisors_in_window(n, n + 1, n + 1) == []
+        assert divisors_in_window(n, n + 1, 2**63) == []
+
+    def test_one_has_only_itself_in_any_window(self):
+        assert divisors_in_window(1, 1, 10**12) == [1]
+        assert divisors_in_window(1, 2, 10**12) == []
+        assert divisors_in_window(1, 1, 1) == [1]
+
+    def test_wide_window_past_a_semiprime_is_a_short_scan(self):
+        # [n - 2047, 2**62] holds 2047 candidates below n: a scan, not a 3*10**8-division factorization
+        n = 999_999_937 * 1_000_000_007
+        got, seconds = timed(divisors_in_window, n, n - (_SCAN_WIDTH - 1), 2**62)
+        assert got == [n]
+        assert seconds < 0.5
+
     def test_seeded_narrow_windows(self):
         rng = random.Random(15)
         for _ in range(10**3):
