@@ -31,7 +31,12 @@ class RescaledInterferogram:
     points: np.ndarray
 
 
-@dataclass(frozen=True)
+# The records below keep every generated dataclass method but __init__.  The generated
+# __init__ of a frozen class calls object.__setattr__ once per field, which makes a
+# record cost 2-3x what plain stores cost, and scan_targets builds one FactorReport per
+# target.  Each hand-written __init__ has the generated signature and stores straight
+# into the instance dict.
+@dataclass(frozen=True, init=False)
 class PeakCandidate:
     """A refined dominant maximum and its nearest integer ratio."""
 
@@ -40,8 +45,15 @@ class PeakCandidate:
     q: int
     residual: float
 
+    def __init__(self, lambda_peak_nm: float, intensity_peak: float, q: int, residual: float) -> None:
+        d = self.__dict__
+        d["lambda_peak_nm"] = lambda_peak_nm
+        d["intensity_peak"] = intensity_peak
+        d["q"] = q
+        d["residual"] = residual
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class FactorReport:
     """Verified factor pairs of one target, with the reachable ratio window."""
 
@@ -50,6 +62,21 @@ class FactorReport:
     candidates: tuple[PeakCandidate, ...]
     factors: tuple[tuple[int, int], ...]
     diagnostics: dict
+
+    def __init__(
+        self,
+        n: int,
+        q_window: tuple[int, int],
+        candidates: tuple[PeakCandidate, ...],
+        factors: tuple[tuple[int, int], ...],
+        diagnostics: dict,
+    ) -> None:
+        d = self.__dict__
+        d["n"] = n
+        d["q_window"] = q_window
+        d["candidates"] = candidates
+        d["factors"] = factors
+        d["diagnostics"] = diagnostics
 
 
 def rescale(ig: Interferogram, n: int) -> RescaledInterferogram:
@@ -145,10 +172,12 @@ def scan_targets(
     Nothing but the exact division depends on the target, so peaks are
     detected, windowed and epsilon-gated once per spectrum (see
     `detect_peaks` for that cost).  When there are several targets and every
-    one is an int below 2**63, one int64 remainder over all targets and the
-    g gated ratios finds the targets with a divisor, and only those repeat
-    the division on Python ints; otherwise each target costs g exact
-    divisions.  Either way each target then costs one FactorReport.
+    one is an int in [4, 2**63), one int64 remainder over all targets and
+    the g gated ratios finds the targets with a divisor, and only those
+    repeat the division on Python ints; otherwise each target costs g exact
+    divisions.  Either way each target then costs one FactorReport and two
+    dicts, its diagnostics and their counts; the q window and the gated
+    candidates are immutable tuples shared by every report.
     """
     target_list = list(targets)
     # for one target the g divisions cost less than building the int64 columns
@@ -171,7 +200,8 @@ def scan_targets(
     in_window = tuple(p for p in peaks if q_lo <= p.q <= q_hi)
     gated = [p for p in in_window if abs(p.residual) <= epsilon]
     gated_qs = sorted({p.q for p in gated})
-    counts = {"peaks": len(peaks), "in_window": len(in_window), "integer_gated": len(gated)}
+    q_window = (q_lo, q_hi)  # immutable, so every report shares it
+    n_peaks, n_in_window, n_gated = len(peaks), len(in_window), len(gated)
 
     # per target: exact division decides, on the rows the int64 remainder selects
     if columnar:
@@ -184,9 +214,23 @@ def scan_targets(
     for i in rows:
         n = target_list[i]
         pairs[i] = tuple((q, n // q) for q in gated_qs if 1 < q < n and n % q == 0)
-    reports = []
-    for n, factors in zip(target_list, pairs):
-        counts_n = {**counts, "factors": len(factors)}
-        diagnostics = {"threshold": threshold, "epsilon": epsilon, "counts": counts_n}
-        reports.append(FactorReport(n, (q_lo, q_hi), in_window, factors, diagnostics))
-    return reports
+    # each report gets dicts of its own: a caller may mutate one report's diagnostics
+    return [
+        FactorReport(
+            n,
+            q_window,
+            in_window,
+            factors,
+            {
+                "threshold": threshold,
+                "epsilon": epsilon,
+                "counts": {
+                    "peaks": n_peaks,
+                    "in_window": n_in_window,
+                    "integer_gated": n_gated,
+                    "factors": len(factors),
+                },
+            },
+        )
+        for n, factors in zip(target_list, pairs)
+    ]

@@ -217,6 +217,8 @@ def _cmd_plot(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    # a malformed window is refused before the factorization, which may take seconds
+    window = _parse_window(args.window) if args.window else None
     fact = trial_division(args.n)
     payload = {
         "n": fact.n,
@@ -224,8 +226,8 @@ def _cmd_oracle(args) -> int:
         "is_prime": fact.is_prime,
         "divisors": fact.divisors(),
     }
-    if args.window:
-        lo, hi = _parse_window(args.window)
+    if window:
+        lo, hi = window
         payload["window"] = [lo, hi]
         payload["window_divisors"] = divisors_in_window(args.n, lo, hi)
     _print_json(payload)

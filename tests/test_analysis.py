@@ -1,4 +1,8 @@
+import copy
+import dataclasses
 import hashlib
+import inspect
+import pickle
 import random
 
 import numpy as np
@@ -6,10 +10,12 @@ import pytest
 
 from curlicue import (
     EmptyWindow,
+    FactorReport,
     Interferogram,
     InterferometerConfig,
     NoiseModel,
     OutOfRange,
+    PhaseDecomposition,
     PrecisionExceeded,
     SpectralWindow,
     SumSpec,
@@ -357,6 +363,18 @@ class TestScanTargets:
         assert [r.factors for r in reports] == want
         assert sum(map(bool, want)) > 10_000
 
+    def test_every_report_owns_its_dicts(self, demo_interferogram):
+        # three targets with a pair and three without
+        targets = [1308567, 1308568, 1306349, 1308569, 1131 * 1000, 1308571]
+        reports = scan_targets(demo_interferogram, targets)
+        assert [bool(r.factors) for r in reports] == [True, False] * 3
+        assert len({id(r.diagnostics) for r in reports}) == len(reports)
+        assert len({id(r.diagnostics["counts"]) for r in reports}) == len(reports)
+        reports[0].diagnostics["epsilon"] = -1.0
+        reports[1].diagnostics["counts"]["factors"] = 99
+        reports[2].diagnostics.clear()
+        assert reports[3:] == scan_targets(demo_interferogram, targets)[3:]
+
     def test_diagnostics_counts(self, demo_interferogram):
         report = extract_factors(demo_interferogram, 1308567)
         counts = report.diagnostics["counts"]
@@ -383,3 +401,52 @@ def test_golden_reports(demo_config, demo_window):
         ig = simulate(config, SpectralWindow(400.0, 800.0, min_pixels(config, lamp)))
         digest.update(repr(extract_factors(ig, 9409)).encode())
     assert digest.hexdigest() == "b7d06e6de4f71918b01d886a4ab18034da0a4d4f03076b699e9ce33c584535b1"
+
+
+_PEAK = (462.8, 0.999, 1131, -2.5e-7)
+RECORDS = [
+    (PhaseDecomposition, ("k", "tau"), (3, 0.25)),
+    (PeakCandidate, ("lambda_peak_nm", "intensity_peak", "q", "residual"), _PEAK),
+    (
+        FactorReport,
+        ("n", "q_window", "candidates", "factors", "diagnostics"),
+        (1308567, (1130, 1136), (PeakCandidate(*_PEAK),), ((1131, 1157),), {"counts": {"factors": 1}}),
+    ),
+]
+
+
+def _hash_or_error(obj):
+    try:
+        return hash(obj)
+    except TypeError as exc:  # FactorReport holds a dict
+        return str(exc)
+
+
+@pytest.mark.parametrize("cls, names, values", RECORDS, ids=[r[0].__name__ for r in RECORDS])
+def test_records_keep_the_generated_dataclass_semantics(cls, names, values):
+    # the reference class gets the __init__ that @dataclass(frozen=True) generates
+    fields = [(f.name, f.type) for f in dataclasses.fields(cls)]
+    ref_cls = dataclasses.make_dataclass(cls.__name__, fields, frozen=True)
+    ref = ref_cls(*values)
+    rec = cls(*values)
+    assert tuple(f.name for f in dataclasses.fields(cls)) == names == cls.__match_args__
+    params = [inspect.signature(c).parameters for c in (cls, ref_cls)]
+    assert params[0] == params[1]
+    assert repr(rec) == repr(ref)
+    assert _hash_or_error(rec) == _hash_or_error(ref)
+    assert dataclasses.astuple(rec) == dataclasses.astuple(ref)
+    assert rec == cls(**dict(zip(names, values))) == cls(*values)
+    assert rec != dataclasses.replace(rec, **{names[0]: 7})
+    assert dataclasses.asdict(rec) == dataclasses.asdict(ref)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(rec, names[0], 7)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        delattr(rec, names[-1])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rec.unknown = 1
+    for twin in (dataclasses.replace(rec), pickle.loads(pickle.dumps(rec)), copy.deepcopy(rec)):
+        assert type(twin) is cls and twin == rec and repr(twin) == repr(rec)
+    with pytest.raises(TypeError):
+        cls(*values[:-1])
+    with pytest.raises(TypeError):
+        cls(*values, 0)

@@ -1,8 +1,11 @@
 import hashlib
 import json
+import re
+import shlex
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -464,6 +467,44 @@ class TestOracleCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: --window must be LO,HI, two integers such as 1130,1136; got {window!r}\n"
+
+    def test_bad_window_is_refused_before_factoring(self, capsys):
+        # 999999937 * 1000000007: factoring it in full takes about half a minute
+        start = time.perf_counter()
+        assert main(["oracle", "--n", "999999943999999559", "--window", "1130"]) == 2
+        assert time.perf_counter() - start < 0.5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --window must be LO,HI, two integers such as 1130,1136; got '1130'\n"
+
+
+def readme_quick_start() -> list[str]:
+    """The commands of the README's quick start, continuation lines joined."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Quick start", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [line for line in lines if line.strip() and not line.lstrip().startswith("#")]
+
+
+def test_readme_quick_start_runs_as_written(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    commands = readme_quick_start()
+    assert [shlex.split(c)[1] for c in commands] == [
+        "simulate", "factor", "factor", "scan", "plot", "plan", "simulate", "factor", "oracle"
+    ]
+    expected = []
+    for command in commands:
+        argv = shlex.split(command, comments=True)
+        assert argv[0] == "curlicue"
+        assert main(argv[1:]) == 0, command
+        out = capsys.readouterr().out
+        claim = re.search(r"# -> (\d+) x (\d+)$", command)
+        if claim:
+            expected.append([int(claim[1]), int(claim[2])])
+            assert json.loads(out)["factors"] == [expected[-1]], command
+    assert expected == [[1131, 1157], [1133, 1153], [97, 97]]
+    assert (tmp_path / "demo.svg").is_file() and (tmp_path / "run6.csv").is_file()
 
 
 class TestEntryPoint:
