@@ -176,8 +176,8 @@ def scan_targets(
     the g gated ratios finds the targets with a divisor, and only those
     repeat the division on Python ints; otherwise each target costs g exact
     divisions.  Either way each target then costs one FactorReport and two
-    dicts, its diagnostics and their counts; the q window and the gated
-    candidates are immutable tuples shared by every report.
+    dicts, its diagnostics and their counts; the q window and the
+    in-window candidates are immutable tuples shared by every report.
     """
     target_list = list(targets)
     # for one target the g divisions cost less than building the int64 columns
@@ -200,7 +200,7 @@ def scan_targets(
     in_window = tuple(p for p in peaks if q_lo <= p.q <= q_hi)
     gated = [p for p in in_window if abs(p.residual) <= epsilon]
     gated_qs = sorted({p.q for p in gated})
-    q_window = (q_lo, q_hi)  # immutable, so every report shares it
+    q_window = (q_lo, q_hi)
     n_peaks, n_in_window, n_gated = len(peaks), len(in_window), len(gated)
 
     # per target: exact division decides, on the rows the int64 remainder selects
