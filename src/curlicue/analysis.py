@@ -9,6 +9,7 @@ against the detected ratios by exact division.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -171,49 +172,26 @@ def scan_targets(
 
     Nothing but the exact division depends on the target, so peaks are
     detected, windowed and epsilon-gated once per spectrum (see
-    `detect_peaks` for that cost).  When there are several targets and every
-    one is an int in [4, 2**63), one int64 remainder over all targets and
-    the g gated ratios finds the targets with a divisor, and only those
-    repeat the division on Python ints; otherwise each target costs g exact
-    divisions.  Either way each target then costs one FactorReport and two
-    dicts, its diagnostics and their counts; the q window and the
-    in-window candidates are immutable tuples shared by every report.
+    `detect_peaks` for that cost), and one sieve finds the divisors of every
+    target among the gated ratios (see `_divisor_pairs`).  Each target then
+    costs one FactorReport and two dicts; the q window and the in-window
+    candidates are immutable tuples shared by every report.
     """
     target_list = list(targets)
-    # for one target the g divisions cost less than building the int64 columns
-    columnar = (
-        len(target_list) > 1
-        and set(map(type, target_list)) == {int}
-        and 4 <= min(target_list)
-        and max(target_list) < 2**63
-    )
-    if not columnar:  # a bad target raises here, at its first position
-        target_list = [checked_int(n, "target", lo=4) for n in target_list]
+    if set(map(type, target_list)) != {int} or min(target_list) < 4:
+        target_list = [checked_int(n, "target", lo=4) for n in target_list]  # raises at the first bad one
     if not target_list:
         raise ValueError("targets must be nonempty")
     checked_real(epsilon, "epsilon", 0, strict=False)
 
-    # per spectrum
     peaks = detect_peaks(ig, threshold)
     lam_lo, lam_hi = ig.wavelengths()[[0, -1]].tolist()  # Python floats keep the bounds scalar
     q_lo, q_hi = _ratio_bounds(ig.displacement_unit_nm, lam_lo, lam_hi)
     in_window = tuple(p for p in peaks if q_lo <= p.q <= q_hi)
     gated = [p for p in in_window if abs(p.residual) <= epsilon]
-    gated_qs = sorted({p.q for p in gated})
     q_window = (q_lo, q_hi)
     n_peaks, n_in_window, n_gated = len(peaks), len(in_window), len(gated)
-
-    # per target: exact division decides, on the rows the int64 remainder selects
-    if columnar:
-        qs = np.array(gated_qs, dtype=np.int64)
-        col = np.array(target_list, dtype=np.int64)[:, None]
-        rows = np.flatnonzero(((col % qs == 0) & (1 < qs) & (qs < col)).any(axis=1)).tolist()
-    else:
-        rows = range(len(target_list))
-    pairs: list[tuple[tuple[int, int], ...]] = [()] * len(target_list)
-    for i in rows:
-        n = target_list[i]
-        pairs[i] = tuple((q, n // q) for q in gated_qs if 1 < q < n and n % q == 0)
+    pairs = _divisor_pairs(target_list, sorted({p.q for p in gated}))
     # each report gets dicts of its own: a caller may mutate one report's diagnostics
     return [
         FactorReport(
@@ -234,3 +212,43 @@ def scan_targets(
         )
         for n, factors in zip(target_list, pairs)
     ]
+
+
+_STEP_BLOCK = 8192  # sieve steps per block: no temporary outgrows 64 kB
+
+
+def _divisor_pairs(targets: list[int], qs: list[int]) -> list[tuple[tuple[int, int], ...]]:
+    """Per target n, (q, n // q) for each of the sorted ratios qs with q | n and 1 < q < n.
+
+    Each q in [2, max / 2] walks its multiples k*q, k >= max(ceil(min / q), 2), through the
+    T distinct targets by binary search, or takes one remainder per target when T is fewer,
+    in vectorised blocks: memory is linear in T and g.  Exact division confirms each hit.
+    """
+    try:
+        arr = np.array(targets, dtype=np.int64)
+    except OverflowError:  # from 2**63 up the targets stay exact Python ints
+        arr = np.array(targets, dtype=object)
+    order = arr.argsort()
+    ranked = arr[order]
+    bounds = np.concatenate(([True], ranked[1:] != ranked[:-1], [True])).nonzero()[0]
+    distinct, t = ranked[bounds[:-1]], len(bounds) - 1  # the u-th has the ranks bounds[u]:bounds[u + 1]
+    q = np.array(qs[bisect.bisect_left(qs, 2) : bisect.bisect_right(qs, distinct[-1] // 2)], dtype=arr.dtype)
+    below = np.maximum((distinct[0] - 1) // q, 1)  # the first k, less one
+    walk = distinct[-1] // q - below
+    steps = np.minimum(walk, t).astype(np.int64)
+    ends = steps.cumsum()
+    pairs: list[tuple[tuple[int, int], ...]] = [()] * len(targets)
+    for block in range(0, int(ends[-1]) if len(ends) else 0, _STEP_BLOCK):
+        ids = np.arange(block, min(block + _STEP_BLOCK, int(ends[-1])))
+        i = ends.searchsorted(ids, "right")
+        j, qi, walked = ids - ends[i] + steps[i], q[i], walk[i] <= t
+        m = (below[i] + 1 + j) * qi  # at most max(targets) on either side of the choice
+        u = j.copy()
+        u[walked] = distinct.searchsorted(m[walked])
+        v = distinct[u]
+        hit = (np.where(walked, v == m, v % qi == 0) & (v > qi)).nonzero()[0]
+        for w, d in zip(u[hit].tolist(), qi[hit].tolist()):  # in ascending q
+            for k in order[bounds[w] : bounds[w + 1]].tolist():
+                c, r = divmod(targets[k], d)  # exact division on Python ints confirms the hit
+                pairs[k] += ((d, c),) if r == 0 else ()
+    return pairs

@@ -165,16 +165,8 @@ def _cmd_scan(args) -> int:
 
 
 def _plan_payload(plan: MeasurementPlan, extra: dict) -> dict:
-    payload = dict(extra)
-    payload.update(
-        {
-            "scheme": plan.scheme,
-            "ratio": plan.ratio,
-            "n_runs": plan.n_runs,
-            "runs": [{"x_nm": r.x_nm, "xi_lo": r.xi_lo, "xi_hi": r.xi_hi} for r in plan.runs],
-        }
-    )
-    return payload
+    runs = [{"x_nm": r.x_nm, "xi_lo": r.xi_lo, "xi_hi": r.xi_hi} for r in plan.runs]
+    return {**extra, "scheme": plan.scheme, "ratio": plan.ratio, "n_runs": plan.n_runs, "runs": runs}
 
 
 def _cmd_plan(args) -> int:

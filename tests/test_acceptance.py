@@ -32,6 +32,7 @@ from curlicue import (
     rescale,
     scan_targets,
     simulate,
+    trial_division,
 )
 
 X_NM = 523426.8
@@ -193,3 +194,26 @@ def test_criterion_10_desk_scale_limit_documented():
     threshold = displacement_estimate(34, 100.0)
     assert threshold.exponent == 27 and threshold.exceeds_universe_size
     report("criterion 10: PASS  (200-digit target needs ~10**193 m, flagged against 10**27 m)")
+
+
+def test_range_scheme_factors_every_composite_in_the_range():
+    # claims a and b: each run of the range plan is simulated once and scanned once for
+    # all 501 targets; every composite shows its smallest prime factor, no prime a pair
+    targets = list(range(10_000, 10_501))
+    plan = plan_number_range(targets[0], targets[-1], LAMP)
+    found = {n: set() for n in targets}
+    for run in plan.runs:
+        config = InterferometerConfig(run.x_nm, SPEC)
+        window = SpectralWindow(LAMP.lambda_min_nm, LAMP.lambda_max_nm, min_pixels(config, LAMP))
+        for rep in scan_targets(simulate(config, window), targets):
+            found[rep.n].update(rep.factors)
+    smallest = {n: trial_division(n).prime_powers[0][0] for n in targets}
+    composites = [n for n in targets if smallest[n] < n]
+    assert (len(composites), plan.n_runs) == (446, 8)
+    for n in targets:
+        assert all(q * c == n for q, c in found[n])
+        if n in composites:
+            assert any(smallest[n] in pair for pair in found[n]), n
+        else:
+            assert not found[n], n
+    report(f"range [10000, 10500]: PASS  (446 composites and 55 primes over {plan.n_runs} runs)")

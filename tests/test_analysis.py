@@ -4,6 +4,7 @@ import hashlib
 import inspect
 import pickle
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from curlicue import (
     divisors_in_window,
     extract_factors,
     min_pixels,
+    plan_number_range,
     plan_single_number,
     q_window,
     rescale,
@@ -375,6 +377,15 @@ class TestScanTargets:
         reports[2].diagnostics.clear()
         assert reports[3:] == scan_targets(demo_interferogram, targets)[3:]
 
+    def test_ratio_one_gives_no_pair(self):
+        # at x = 600 nm over 400-800 nm the only dominant maximum is q = 1, which divides
+        # every target but never makes a proper pair
+        config = InterferometerConfig(600.0, SumSpec(3, 2))
+        ig = simulate(config, SpectralWindow(400.0, 800.0, pixel_count=2048))
+        assert [p.q for p in detect_peaks(ig)] == [1]
+        assert [r.factors for r in scan_targets(ig, [4, 9, 10**6, 2**64])] == [()] * 4
+        assert extract_factors(ig, 15).factors == ()
+
     def test_diagnostics_counts(self, demo_interferogram):
         report = extract_factors(demo_interferogram, 1308567)
         counts = report.diagnostics["counts"]
@@ -382,6 +393,91 @@ class TestScanTargets:
         assert counts["in_window"] == 7
         assert counts["integer_gated"] == 7
         assert counts["factors"] == 1
+
+
+@pytest.fixture(scope="module")
+def wide_lamp_interferogram():
+    # x = 40 um over 400-800 nm: 49 gated ratios, q = 51..99, at 5,352 px
+    config = InterferometerConfig(40_000.0, SumSpec(3, 2))
+    lamp = SpectralWindow(400.0, 800.0)
+    return simulate(config, SpectralWindow(400.0, 800.0, min_pixels(config, lamp)))
+
+
+def _per_target_pairs(ig, targets):
+    lo, hi = q_window(ig.displacement_unit_nm, SpectralWindow(*ig.wavelengths()[[0, -1]].tolist()))
+    gated = sorted({p.q for p in detect_peaks(ig) if lo <= p.q <= hi and abs(p.residual) <= 0.05})
+    return [tuple((q, n // q) for q in gated if 1 < q < n and n % q == 0) for n in targets]
+
+
+def _seeded(seed, count, lo, hi, planted=()):
+    rng = random.Random(seed)
+    targets = [rng.randint(lo, hi) for _ in range(count)]
+    targets += [q * rng.randint(-(-lo // q), hi // q) for q in planted for _ in range(3)]
+    rng.shuffle(targets)
+    return targets
+
+
+QS = range(51, 100)
+SIEVE_REGIMES = {
+    "one target": [51 * 97],
+    "one prime target": [10**9 + 7],
+    "duplicates": [102, 4, 51 * 97, 102, 2 * 3 * 5 * 7 * 11 * 13, 102, 4, 51 * 97],
+    "below, at and twice q": [4, 5, 50] + [n for q in QS for n in (q - 1, q, q + 1, 2 * q, 2 * q + 1)],
+    # span / q far above T: every q takes one remainder per target, also of q itself
+    "wide span": _seeded(21, 3000, 4, 10**12, planted=QS) + [51, 99, 4, 198],
+    # span / q far below T: every q walks its multiples
+    "narrow span": _seeded(22, 800, 10**6, 10**6 + 3000, planted=QS),
+    # span / q crosses T inside the ratio list: both sides in one call
+    "mixed span": _seeded(23, 10, 10**5, 10**5 + 4000, planted=QS[::4]),
+    "beyond int64": [2**63, 51 * 2**64, 51 * 97, 2**63 - 1, 99 * (2**63 // 99 + 1), 4, 77 * 10**30, 2**63],
+}
+
+
+@pytest.mark.parametrize("targets", SIEVE_REGIMES.values(), ids=SIEVE_REGIMES.keys())
+def test_scan_matches_per_target_division(wide_lamp_interferogram, targets):
+    reports = scan_targets(wide_lamp_interferogram, targets)
+    want = _per_target_pairs(wide_lamp_interferogram, targets)
+    assert [r.n for r in reports] == targets
+    assert [r.factors for r in reports] == want
+    assert len(want) == 1 or any(want)
+
+
+def test_sieve_regimes_cover_both_sides_of_the_step_choice():
+    # q walks its multiples k*q, k >= 2, in [min, max] when there are no more of them
+    # than distinct targets, and takes one remainder per target otherwise
+    def walks(name):
+        targets = SIEVE_REGIMES[name]
+        lo, hi, t = min(targets), max(targets), len(set(targets))
+        return [hi // q - max(-(-lo // q), 2) + 1 <= t for q in QS]
+
+    assert not any(walks("wide span"))
+    assert all(walks("narrow span"))
+    assert 0 < sum(walks("mixed span")) < len(QS)
+
+
+def test_scan_of_a_flat_spectrum_matches_per_target_division():
+    ig = make_interferogram(4000.0, [(400.0 + j, 0.1) for j in range(64)])
+    targets = [4, 2**64, 10**12, 4]
+    assert _per_target_pairs(ig, targets) == [()] * 4
+    assert [r.factors for r in scan_targets(ig, targets)] == [()] * 4
+
+
+def test_scan_memory_is_linear_in_the_targets():
+    # run 0 of the [10000, 10500] range plan: 561,911 px and about 5,200 gated ratios
+    lamp = SpectralWindow(400.0, 800.0)
+    config = InterferometerConfig(plan_number_range(10_000, 10_500, lamp).runs[0].x_nm, SumSpec(3, 2))
+    ig = simulate(config, SpectralWindow(400.0, 800.0, min_pixels(config, lamp)))
+    assert ig.samples.shape == (561_911, 2)
+    peaks = []
+    for targets in ([10_000], list(range(10_000, 10_501))):
+        scan_targets(ig, targets)  # warm
+        tracemalloc.start()
+        try:
+            scan_targets(ig, targets)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 1_000_000, peaks
 
 
 def test_golden_reports(demo_config, demo_window):
