@@ -191,7 +191,7 @@ def scan_targets(
     gated = [p for p in in_window if abs(p.residual) <= epsilon]
     q_window = (q_lo, q_hi)
     n_peaks, n_in_window, n_gated = len(peaks), len(in_window), len(gated)
-    pairs = _divisor_pairs(target_list, sorted({p.q for p in gated}))
+    pairs = _divisor_pairs(target_list, sorted([p.q for p in gated]))  # detect_peaks merged equal q
     # each report gets dicts of its own: a caller may mutate one report's diagnostics
     return [
         FactorReport(
@@ -218,7 +218,7 @@ _STEP_BLOCK = 8192  # sieve steps per block: no temporary outgrows 64 kB
 
 
 def _divisor_pairs(targets: list[int], qs: list[int]) -> list[tuple[tuple[int, int], ...]]:
-    """Per target n, (q, n // q) for each of the sorted ratios qs with q | n and 1 < q < n.
+    """Per target n, (q, n // q) for each of the sorted distinct qs with q | n and 1 < q < n.
 
     Each q in [2, max / 2] walks its multiples k*q, k >= max(ceil(min / q), 2), through the
     T distinct targets by binary search, or takes one remainder per target when T is fewer,
@@ -235,7 +235,7 @@ def _divisor_pairs(targets: list[int], qs: list[int]) -> list[tuple[tuple[int, i
     q = np.array(qs[bisect.bisect_left(qs, 2) : bisect.bisect_right(qs, distinct[-1] // 2)], dtype=arr.dtype)
     below = np.maximum((distinct[0] - 1) // q, 1)  # the first k, less one
     walk = distinct[-1] // q - below
-    steps = np.minimum(walk, t).astype(np.int64)
+    steps = np.minimum(walk, t).astype(np.int64, copy=False)
     ends = steps.cumsum()
     pairs: list[tuple[tuple[int, int], ...]] = [()] * len(targets)
     for block in range(0, int(ends[-1]) if len(ends) else 0, _STEP_BLOCK):
