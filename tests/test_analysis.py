@@ -463,7 +463,7 @@ def test_scan_of_a_flat_spectrum_matches_per_target_division():
 
 
 def test_scan_memory_is_linear_in_the_targets():
-    # run 0 of the [10000, 10500] range plan: 561,911 px and about 5,200 gated ratios
+    # run 0 of the [10000, 10500] range plan: 561,911 px and 5,249 gated ratios
     lamp = SpectralWindow(400.0, 800.0)
     config = InterferometerConfig(plan_number_range(10_000, 10_500, lamp).runs[0].x_nm, SumSpec(3, 2))
     ig = simulate(config, SpectralWindow(400.0, 800.0, min_pixels(config, lamp)))
