@@ -89,15 +89,11 @@ def rescale(ig: Interferogram, n: int) -> RescaledInterferogram:
     return RescaledInterferogram(n=n, points=np.column_stack((xi, ig.intensities())))
 
 
-def _ratio_bounds(x_nm: float, lam_lo: float, lam_hi: float) -> tuple[int, int]:
-    q_lo = checked_reach(lambda: x_nm / lam_hi, "x/lambda_max")
-    return math.ceil(q_lo), math.floor(checked_reach(lambda: x_nm / lam_lo, "x/lambda_min"))
-
-
 def q_window(x_nm: float, window: SpectralWindow) -> tuple[int, int]:
     """Smallest and largest integer ratio q = x/lambda reachable in the window."""
     x = checked_real(x_nm, "x_nm", 0, strict=True)
-    lo, hi = _ratio_bounds(x, window.lambda_min_nm, window.lambda_max_nm)
+    lo = math.ceil(checked_reach(lambda: x / window.lambda_max_nm, "x/lambda_max"))
+    hi = math.floor(checked_reach(lambda: x / window.lambda_min_nm, "x/lambda_min"))
     if lo > hi:
         raise EmptyWindow(
             f"no integer ratio reachable for x={x_nm:g} nm over "
@@ -157,7 +153,7 @@ def extract_factors(
     Peaks only propose candidates: a pair is reported when the refined ratio
     passes the integer-residual gate AND q divides n exactly, with
     1 < q < n.  The epsilon gate trades compute, never correctness; exact
-    division is the final arbiter.
+    division is the final arbiter.  Raises EmptyWindow as `scan_targets` does.
     """
     return scan_targets(ig, [n], threshold, epsilon)[0]
 
@@ -175,7 +171,9 @@ def scan_targets(
     `detect_peaks` for that cost), and one sieve finds the divisors of every
     target among the gated ratios (see `_divisor_pairs`).  Each target then
     costs one FactorReport and two dicts; the q window and the in-window
-    candidates are immutable tuples shared by every report.
+    candidates are immutable tuples shared by every report.  The q window is
+    `q_window` over the first and last pixel, so a span that holds no integer
+    ratio raises EmptyWindow instead of reporting no factors.
     """
     target_list = list(targets)
     if set(map(type, target_list)) != {int} or min(target_list) < 4:
@@ -185,18 +183,17 @@ def scan_targets(
     checked_real(epsilon, "epsilon", 0, strict=False)
 
     peaks = detect_peaks(ig, threshold)
-    lam_lo, lam_hi = ig.wavelengths()[[0, -1]].tolist()  # Python floats keep the bounds scalar
-    q_lo, q_hi = _ratio_bounds(ig.displacement_unit_nm, lam_lo, lam_hi)
+    span = SpectralWindow(*ig.wavelengths()[[0, -1]].tolist())  # Python floats keep the bounds scalar
+    q_lo, q_hi = window = q_window(ig.displacement_unit_nm, span)
     in_window = tuple(p for p in peaks if q_lo <= p.q <= q_hi)
     gated = [p for p in in_window if abs(p.residual) <= epsilon]
-    q_window = (q_lo, q_hi)
     n_peaks, n_in_window, n_gated = len(peaks), len(in_window), len(gated)
     pairs = _divisor_pairs(target_list, sorted([p.q for p in gated]))  # detect_peaks merged equal q
     # each report gets dicts of its own: a caller may mutate one report's diagnostics
     return [
         FactorReport(
             n,
-            q_window,
+            window,
             in_window,
             factors,
             {

@@ -209,8 +209,9 @@ def _cmd_plot(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    # a malformed window is refused before the factorization, which may take seconds
+    # a window of bad form or range is refused before the factorization, which may take seconds
     window = _parse_window(args.window) if args.window else None
+    window_divisors = divisors_in_window(args.n, *window) if window else None
     fact = trial_division(args.n)
     payload = {
         "n": fact.n,
@@ -219,9 +220,8 @@ def _cmd_oracle(args) -> int:
         "divisors": fact.divisors(),
     }
     if window:
-        lo, hi = window
-        payload["window"] = [lo, hi]
-        payload["window_divisors"] = divisors_in_window(args.n, lo, hi)
+        payload["window"] = list(window)
+        payload["window_divisors"] = window_divisors
     _print_json(payload)
     return EXIT_OK
 

@@ -308,11 +308,31 @@ class TestScanTargets:
             assert (1131, c) in report.factors
 
     def test_flat_input_gives_empty_reports(self):
-        rows = [(400.0 + j, 0.1) for j in range(64)]
-        ig = make_interferogram(1000.0, rows)
+        # 4000 nm over 400-463 nm reaches q = 9 and 10, but no peak marks them
+        ig = make_interferogram(4000.0, [(400.0 + j, 0.1) for j in range(64)])
         reports = scan_targets(ig, [100, 200, 300])
+        assert all(r.q_window == (9, 10) for r in reports)
         assert all(r.factors == () for r in reports)
         assert all(r.candidates == () for r in reports)
+
+    def test_span_without_a_ratio_raises_empty_window(self):
+        # 1000 nm over 400-463 nm: x/lambda runs from 2.16 to 2.5, past no integer
+        ig = make_interferogram(1000.0, [(400.0 + j, 0.1) for j in range(64)])
+        message = "no integer ratio reachable for x=1000 nm over [400, 463] nm"
+        with pytest.raises(EmptyWindow) as scanned:
+            scan_targets(ig, [100, 200, 300])
+        with pytest.raises(EmptyWindow) as extracted:
+            extract_factors(ig, 100)
+        assert str(scanned.value) == str(extracted.value) == message
+
+    def test_precision_ceiling_wins_over_an_empty_span(self):
+        # x/lambda = 2**41 + 0.5 at 400 nm and falls by about 0.11 over the span: no integer,
+        # and the one peak's ratio is past the 2**40 ceiling
+        ig = make_interferogram(400.0 * (2**41 + 0.5), [(400.0, 0.1), (400.0 + 1e-11, 1.0), (400.0 + 2e-11, 0.1)])
+        with pytest.raises(EmptyWindow):
+            q_window(ig.displacement_unit_nm, SpectralWindow(*ig.wavelengths()[[0, -1]].tolist()))
+        with pytest.raises(PrecisionExceeded):
+            scan_targets(ig, [100])
 
     def test_rejects_empty_targets(self, demo_interferogram):
         with pytest.raises(ValueError):
@@ -440,6 +460,8 @@ def test_scan_matches_per_target_division(wide_lamp_interferogram, targets):
     assert [r.n for r in reports] == targets
     assert [r.factors for r in reports] == want
     assert len(want) == 1 or any(want)
+    span = SpectralWindow(*wide_lamp_interferogram.wavelengths()[[0, -1]].tolist())
+    assert all(r.q_window == q_window(wide_lamp_interferogram.displacement_unit_nm, span) for r in reports)
 
 
 def test_sieve_regimes_cover_both_sides_of_the_step_choice():

@@ -356,14 +356,20 @@ def _hand_edited(path, x_nm, rows):
     return path
 
 
-# x/lambda_min overflows on the first file; the second starts at a negative wavelength
-EDITED_FILES = {"tiny-lambda": ("1e10", ["5e-324", "1.0", "2.0"]), "negative-lambda": ("10", ["-1e308", "1.0"])}
+# x/lambda_min overflows on the first file; the second starts at a negative wavelength; the
+# third spans x/lambda = 2.16..2.5, which holds no integer ratio, so "no factors" would be wrong
+EDITED_FILES = {
+    "tiny-lambda": ("1e10", ["5e-324", "1.0", "2.0"]),
+    "negative-lambda": ("10", ["-1e308", "1.0"]),
+    "empty-window": ("1000", ["400.0", "431.5", "463.0"]),
+}
 
 
 @pytest.mark.parametrize(
     "name, command",
     [("tiny-lambda", "factor"), ("tiny-lambda", "scan"), ("negative-lambda", "factor"),
-     ("negative-lambda", "scan"), ("negative-lambda", "plot")],
+     ("negative-lambda", "scan"), ("negative-lambda", "plot"), ("empty-window", "factor"),
+     ("empty-window", "scan")],
 )
 def test_hand_edited_wavelengths_are_exit_two(tmp_path, capsys, name, command):
     edited = _hand_edited(tmp_path / "edited.csv", *EDITED_FILES[name])
@@ -374,6 +380,8 @@ def test_hand_edited_wavelengths_are_exit_two(tmp_path, capsys, name, command):
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert err.startswith("error: ") and out == ""
+    if name == "empty-window":
+        assert err == "error: no integer ratio reachable for x=1000 nm over [400, 463] nm\n"
     assert not (tmp_path / "x.svg").exists()
 
 
@@ -468,14 +476,23 @@ class TestOracleCommand:
         assert captured.out == ""
         assert captured.err == f"error: --window must be LO,HI, two integers such as 1130,1136; got {window!r}\n"
 
-    def test_bad_window_is_refused_before_factoring(self, capsys):
+    @pytest.mark.parametrize(
+        "window, message",
+        [
+            ("1130", "--window must be LO,HI, two integers such as 1130,1136; got '1130'"),
+            ("0,5", "lo must be an integer >= 1, got 0"),
+            ("9,3", "hi must be an integer >= 9, got 3"),
+        ],
+        ids=["1130", "0,5", "9,3"],
+    )
+    def test_bad_window_is_refused_before_factoring(self, capsys, window, message):
         # 999999937 * 1000000007: factoring it in full takes about half a minute
         start = time.perf_counter()
-        assert main(["oracle", "--n", "999999943999999559", "--window", "1130"]) == 2
+        assert main(["oracle", "--n", "999999943999999559", "--window", window]) == 2
         assert time.perf_counter() - start < 0.5
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: --window must be LO,HI, two integers such as 1130,1136; got '1130'\n"
+        assert captured.err == f"error: {message}\n"
 
 
 def readme_quick_start() -> list[str]:
