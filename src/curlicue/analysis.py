@@ -183,7 +183,7 @@ def scan_targets(
     checked_real(epsilon, "epsilon", 0, strict=False)
 
     peaks = detect_peaks(ig, threshold)
-    span = SpectralWindow(*ig.wavelengths()[[0, -1]].tolist())  # Python floats keep the bounds scalar
+    span = SpectralWindow(*ig.wavelengths()[[0, -1]].tolist())
     q_lo, q_hi = window = q_window(ig.displacement_unit_nm, span)
     in_window = tuple(p for p in peaks if q_lo <= p.q <= q_hi)
     gated = [p for p in in_window if abs(p.residual) <= epsilon]
