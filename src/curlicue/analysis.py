@@ -109,7 +109,7 @@ def detect_peaks(ig: Interferogram, threshold: float = DEFAULT_THRESHOLD) -> lis
     parabola through the three points (the middle point itself where the
     parabola does not open downward), from which the integer ratio q and its
     residual follow.  Candidates sharing the same q are merged keeping the
-    strongest; the result is ordered by wavelength.
+    strongest; the result is in ascending wavelength and strictly descending q.
 
     Cost per spectrum: one numpy pass over the N pixels, one over the k
     maxima, then k `decompose` calls in Python.
@@ -139,7 +139,9 @@ def detect_peaks(ig: Interferogram, threshold: float = DEFAULT_THRESHOLD) -> lis
         known = best.get(dec.k)
         if known is None or int_i > known.intensity_peak:
             best[dec.k] = PeakCandidate(lam_i, int_i, dec.k, dec.tau)
-    return sorted(best.values(), key=lambda c: c.lambda_peak_nm)
+    # a vertex stays between its maximum's neighbours, so wavelengths never fall and
+    # q = round(x/lambda) never rises: equal q are neighbours, first seen in wavelength order
+    return list(best.values())
 
 
 def extract_factors(
@@ -188,7 +190,7 @@ def scan_targets(
     in_window = tuple(p for p in peaks if q_lo <= p.q <= q_hi)
     gated = [p for p in in_window if abs(p.residual) <= epsilon]
     n_peaks, n_in_window, n_gated = len(peaks), len(in_window), len(gated)
-    pairs = _divisor_pairs(target_list, sorted([p.q for p in gated]))  # detect_peaks merged equal q
+    pairs = _divisor_pairs(target_list, [p.q for p in reversed(gated)])  # distinct q, ascending
     # each report gets dicts of its own: a caller may mutate one report's diagnostics
     return [
         FactorReport(

@@ -104,19 +104,12 @@ def _cmd_simulate(args) -> int:
     spec = SumSpec(args.paths, args.order)
     config = InterferometerConfig(displacement_unit_nm=args.x, sum_spec=spec)
     window = SpectralWindow(args.lambda_min, args.lambda_max, args.pixels)
-    noise = None
-    if args.mirror_sigma > 0 or args.detector_sigma > 0:
-        noise = NoiseModel(
-            mirror_sigma_nm=args.mirror_sigma,
-            detector_sigma=args.detector_sigma,
-            seed=args.seed,
-        )
+    noise = NoiseModel(args.mirror_sigma, detector_sigma=args.detector_sigma, seed=args.seed)
     ig = simulate(config, window, noise, allow_undersampled=args.allow_undersampled)
-    text = igio.dumps_interferogram(ig)
     if args.out:
-        Path(args.out).write_bytes(text.encode("utf-8"))
+        igio.write_interferogram(ig, args.out)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(igio.dumps_interferogram(ig))
     if args.plot:
         Path(args.plot).write_bytes(plotting.interferogram_svg(ig).encode("utf-8"))
     return EXIT_OK
@@ -181,8 +174,8 @@ def _cmd_plan(args) -> int:
             raise ValueError("need --n, or both --n-min and --n-max")
         plan = plan_number_range(args.n_min, args.n_max, window)
         extra = {"n_min": args.n_min, "n_max": args.n_max}
+    spec = SumSpec(args.paths, args.order)
     if args.emit_configs:
-        spec = SumSpec(args.paths, args.order)
         run_flags = []
         for run in plan.runs:  # every run's flags first: a refused run leaves no directory
             config = InterferometerConfig(displacement_unit_nm=run.x_nm, sum_spec=spec)

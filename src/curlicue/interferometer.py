@@ -76,8 +76,9 @@ class NoiseModel:
     spectral readout.  arm_weights are the relative wave amplitudes (None
     means balanced splitters, all equal).  detector_sigma adds per-pixel
     Gaussian readout noise in intensity units.  All draws derive from the
-    master seed through purpose-tagged counter-based streams, so output
-    never depends on evaluation order.
+    master seed, an integer in [0, 2**64) (the Philox key's range), through
+    purpose-tagged counter-based streams, so output never depends on
+    evaluation order.
     """
 
     mirror_sigma_nm: float = 10.0
@@ -88,7 +89,7 @@ class NoiseModel:
     def __post_init__(self) -> None:
         mirror = checked_real(self.mirror_sigma_nm, "mirror_sigma_nm", 0, strict=False)
         detector = checked_real(self.detector_sigma, "detector_sigma", 0, strict=False)
-        checked_int(self.seed, "seed")
+        checked_int(self.seed, "seed", 0, 2**64 - 1)
         object.__setattr__(self, "mirror_sigma_nm", mirror)
         object.__setattr__(self, "detector_sigma", detector)
         if self.arm_weights is not None:
@@ -171,7 +172,7 @@ _NOISELESS = NoiseModel(mirror_sigma_nm=0.0)
 
 
 def _stream(seed: int, purpose: int, index: int) -> np.random.Generator:
-    key = np.array([seed % 2**64, ((purpose << 32) | index) % 2**64], dtype=np.uint64)
+    key = np.array([seed, (purpose << 32) | index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 

@@ -106,8 +106,10 @@ def loads_interferogram(text: str) -> Interferogram:
 
 
 def write_interferogram(ig: Interferogram, path: Union[str, os.PathLike]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(dumps_interferogram(ig))
+    """Write the v1 text as UTF-8; the bytes are built first, so a failed encode leaves no file."""
+    data = dumps_interferogram(ig).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(data)
 
 
 def read_interferogram(path: Union[str, os.PathLike]) -> Interferogram:

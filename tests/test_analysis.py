@@ -213,6 +213,37 @@ def test_detect_peaks_matches_scalar_reference(demo_config, demo_window, mirror_
         want = reference_peaks(ig, threshold)
         assert want
         assert repr(detect_peaks(ig, threshold)) == repr(want)
+        _assert_candidate_order(want)
+
+
+def _assert_candidate_order(peaks):
+    # detect_peaks returns its merge order unsorted, and scan_targets reverses it for the sieve
+    lams = [p.lambda_peak_nm for p in peaks]
+    qs = [p.q for p in peaks]
+    assert all(a < b for a, b in zip(lams, lams[1:])), lams
+    assert all(a > b for a, b in zip(qs, qs[1:])), qs
+
+
+def test_detect_peaks_order_on_a_planned_run():
+    lamp = SpectralWindow(400.0, 800.0)
+    config = InterferometerConfig(plan_single_number(9409, lamp).runs[0].x_nm, SumSpec(3, 2))
+    ig = simulate(config, SpectralWindow(400.0, 800.0, min_pixels(config, lamp)))
+    want = reference_peaks(ig, 0.7)
+    assert len(want) > 1000
+    assert repr(detect_peaks(ig)) == repr(want)
+    _assert_candidate_order(want)
+
+
+def test_maxima_below_ratio_one_are_skipped():
+    # three strict maxima at x/lambda near 0.73, 0.50 and 0.27: the last rounds to q = 0
+    ig = simulate(InterferometerConfig(100.0, SumSpec(3, 2)), SpectralWindow(120.0, 1000.0), allow_undersampled=True)
+    inten = ig.intensities()
+    mid = inten[1:-1]
+    maxima = np.flatnonzero((mid > inten[:-2]) & (mid > inten[2:])) + 1
+    assert np.round(100.0 / ig.wavelengths()[maxima], 2).tolist() == [0.73, 0.5, 0.27]
+    want = reference_peaks(ig, 0.0)
+    assert [p.q for p in want] == [1]
+    assert repr(detect_peaks(ig, threshold=0.0)) == repr(want)
 
 
 def test_detect_peaks_matches_reference_on_the_fallback():

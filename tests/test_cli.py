@@ -97,6 +97,34 @@ class TestSimulate:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--mirror-sigma", "-5"], "mirror_sigma_nm must be a finite number >= 0, got -5.0"),
+            (["--mirror-sigma", "nan"], "mirror_sigma_nm must be a finite number >= 0, got nan"),
+            (["--detector-sigma", "-0.1"], "detector_sigma must be a finite number >= 0, got -0.1"),
+            (["--detector-sigma", "nan"], "detector_sigma must be a finite number >= 0, got nan"),
+            (["--seed", "-1"], "seed must be an integer >= 0 and <= 18446744073709551615, got -1"),
+            (["--seed", "18446744073709551616"],
+             "seed must be an integer >= 0 and <= 18446744073709551615, got 18446744073709551616"),
+        ],
+        ids=["mirror-negative", "mirror-nan", "detector-negative", "detector-nan", "seed-negative", "seed-2**64"],
+    )
+    def test_bad_noise_flag_is_exit_two(self, tmp_path, capsys, flags, message):
+        # the noise flags go through NoiseModel even where they would add no noise
+        out = tmp_path / "bad.csv"
+        assert main(DEMO_FLAGS + flags + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_noiseless_run_records_its_seed(self, demo_file, tmp_path):
+        out = tmp_path / "seeded.csv"
+        assert main(DEMO_FLAGS + ["--seed", "7", "--out", str(out)]) == 0
+        want = demo_file.read_text().replace("\n# seed=0\n", "\n# seed=7\n", 1)
+        assert out.read_text() == want
+
     def test_plot_flag_writes_svg(self, tmp_path):
         svg = tmp_path / "toy.svg"
         code = main(
@@ -252,6 +280,17 @@ class TestPlan:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: give either --n or --n-min/--n-max, not both\n"
+
+    @pytest.mark.parametrize(
+        "flag, message",
+        [("--paths", "path_count must be an integer >= 2, got 1"), ("--order", "order must be an integer >= 2, got 1")],
+        ids=["paths", "order"],
+    )
+    def test_bad_sum_spec_is_exit_two_without_emit_configs(self, capsys, flag, message):
+        assert main(["plan", "--n", "9409", "--lambda-min", "400", "--lambda-max", "800", flag, "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     def test_missing_target_exit_two(self):
         assert main(["plan", "--lambda-min", "400", "--lambda-max", "800"]) == 2

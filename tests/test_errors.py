@@ -43,6 +43,9 @@ SPEC = SumSpec(3, 2)
         (lambda: SpectralWindow(400.0, "800"), ValueError),
         (lambda: NoiseModel(mirror_sigma_nm="10"), ValueError),
         (lambda: NoiseModel(detector_sigma="0.1"), ValueError),
+        # the Philox key's range [0, 2**64)
+        (lambda: NoiseModel(seed=-1), ValueError),
+        (lambda: NoiseModel(seed=2**64), ValueError),
         (lambda: displacement_estimate(5, "100"), ValueError),
         # a quotient of lengths that leaves float64
         (lambda: q_window(1e10, SpectralWindow(5e-324, 1.0)), OutOfRange),
@@ -60,7 +63,8 @@ SPEC = SumSpec(3, 2)
     ],
     ids=[
         "bool-x", "bool-r", "bool-q-window-x", "bool-lambda", "bool-lo", "bool-hi", "bool-arm",
-        "str-lambda-min", "str-lambda-max", "str-mirror-sigma", "str-detector-sigma", "str-lambda-estimate",
+        "str-lambda-min", "str-lambda-max", "str-mirror-sigma", "str-detector-sigma", "seed-negative",
+        "seed-2**64", "str-lambda-estimate",
         "q-window-tiny-lambda", "min-pixels-zero-divisor", "min-pixels-overflow", "min-pixels-square-overflow",
         "max-displacement-overflow", "factorable-n-min-overflow", "factorable-n-max-inf",
         "beta-inf", "beta-squared-inf", "plan-beta-inf", "plan-range-beta-inf", "plan-range-gamma-inf",
@@ -76,6 +80,7 @@ def test_rule_boundaries():
     assert checked_real(np.float64(2.5), "v", 0, strict=True) == 2.5
     assert checked_real(0, "v", 0, strict=False) == 0.0
     assert checked_int(2**63 - 1, "n", 2, 2**63 - 1) == 2**63 - 1
+    assert NoiseModel(seed=0).seed == 0 and NoiseModel(seed=2**64 - 1).seed == 2**64 - 1
     for bad in (0, -1.0, float("nan"), float("inf"), 10**400, np.int64(3), True):
         with pytest.raises(ValueError):
             checked_real(bad, "v", 0, strict=True)

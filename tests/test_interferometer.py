@@ -134,8 +134,9 @@ class TestNoise:
 
     def test_different_seeds_differ(self, demo_config, demo_window):
         a = simulate(demo_config, demo_window, NoiseModel(10.0, seed=1))
-        b = simulate(demo_config, demo_window, NoiseModel(10.0, seed=2))
-        assert not np.array_equal(a.samples, b.samples)
+        for other in (2, 2**64 - 1):  # the top seed is the Philox key as given
+            b = simulate(demo_config, demo_window, NoiseModel(10.0, seed=other))
+            assert not np.array_equal(a.samples, b.samples)
 
     def test_mirror_error_keeps_peaks_high(self, demo_config, demo_window):
         ig = simulate(demo_config, demo_window, NoiseModel(mirror_sigma_nm=10.0, seed=0))

@@ -30,6 +30,18 @@ class TestRoundTrip:
         write_interferogram(demo_interferogram, path)
         assert read_interferogram(path) == demo_interferogram
 
+    def test_failed_encode_leaves_no_file(self, demo_interferogram, tmp_path):
+        ig = Interferogram(
+            demo_interferogram.displacement_unit_nm,
+            demo_interferogram.sum_spec,
+            demo_interferogram.samples,
+            {"note": "\ud800"},  # a lone surrogate has no UTF-8 encoding
+        )
+        path = tmp_path / "bad.csv"
+        with pytest.raises(UnicodeEncodeError):
+            write_interferogram(ig, path)
+        assert not path.exists()
+
     def test_randomized_sweep(self):
         rng = random.Random(404)
         for _ in range(100):
