@@ -80,7 +80,7 @@ def test_rule_boundaries():
     assert checked_real(np.float64(2.5), "v", 0, strict=True) == 2.5
     assert checked_real(0, "v", 0, strict=False) == 0.0
     assert checked_int(2**63 - 1, "n", 2, 2**63 - 1) == 2**63 - 1
-    assert NoiseModel(seed=0).seed == 0 and NoiseModel(seed=2**64 - 1).seed == 2**64 - 1
+    assert NoiseModel(seed=2**64 - 1).seed == 2**64 - 1
     for bad in (0, -1.0, float("nan"), float("inf"), 10**400, np.int64(3), True):
         with pytest.raises(ValueError):
             checked_real(bad, "v", 0, strict=True)
