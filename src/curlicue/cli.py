@@ -40,8 +40,19 @@ _EXIT_CODES = (
 _CANDIDATES = "@candidates"
 
 
-def _report_payload(report: FactorReport) -> dict:
-    return {
+def _candidates_json(candidates, pad: str = "") -> str:
+    """The candidate list as json.dumps(..., indent=2), its lines set one level deeper than pad."""
+    payload = [
+        {"lambda_peak": c.lambda_peak_nm, "intensity": c.intensity_peak, "q": c.q, "residual": c.residual}
+        for c in candidates
+    ]
+    return json.dumps(payload, indent=2).replace("\n", "\n  " + pad)
+
+
+def _report_json(report: FactorReport, candidates_json: str, pad: str = "") -> str:
+    """The report as json.dumps(payload, indent=2) with pad after every newline, and with
+    candidates_json, from _candidates_json(report.candidates, pad), in place of the placeholder."""
+    payload = {
         "n": report.n,
         "q_window": [report.q_window[0], report.q_window[1]],
         "factors": [[q, c] for q, c in report.factors],
@@ -51,34 +62,12 @@ def _report_payload(report: FactorReport) -> dict:
             "epsilon": report.diagnostics["epsilon"],
         },
     }
+    text = json.dumps(payload, indent=2).replace("\n", "\n" + pad)
+    return text.replace(f'"{_CANDIDATES}"', candidates_json)
 
 
-def _candidates_payload(candidates) -> list:
-    return [
-        {
-            "lambda_peak": cand.lambda_peak_nm,
-            "intensity": cand.intensity_peak,
-            "q": cand.q,
-            "residual": cand.residual,
-        }
-        for cand in candidates
-    ]
-
-
-def _print_reports(reports: Sequence[FactorReport]) -> None:
-    """Print what print(json.dumps(payloads, indent=2)) prints for the list of the reports'
-    payloads.  Reports of one scan share their candidate list, which is encoded once, and
-    the list is written one report at a time."""
-    candidates, encoded = None, ""
-    out = sys.stdout
-    out.write("[\n  ")
-    for i, report in enumerate(reports):
-        if report.candidates is not candidates:
-            candidates = report.candidates
-            encoded = json.dumps(_candidates_payload(candidates), indent=2).replace("\n", "\n    ")
-        text = json.dumps(_report_payload(report), indent=2).replace("\n", "\n  ")
-        out.write((",\n  " if i else "") + text.replace(f'"{_CANDIDATES}"', encoded))
-    out.write("\n]\n")
+def _exit_code(reports: Sequence[FactorReport]) -> int:
+    return EXIT_OK if any(r.factors for r in reports) else EXIT_NO_FACTORS
 
 
 def _report_text(report: FactorReport) -> str:
@@ -106,12 +95,14 @@ def _cmd_simulate(args) -> int:
     window = SpectralWindow(args.lambda_min, args.lambda_max, args.pixels)
     noise = NoiseModel(args.mirror_sigma, detector_sigma=args.detector_sigma, seed=args.seed)
     ig = simulate(config, window, noise, allow_undersampled=args.allow_undersampled)
-    if args.out:
-        igio.write_interferogram(ig, args.out)
-    else:
-        sys.stdout.write(igio.dumps_interferogram(ig))
+    # the plot goes first, the v1 text is built before it: a failed plot leaves no spectrum
+    text = igio.dumps_interferogram(ig)
     if args.plot:
         Path(args.plot).write_bytes(plotting.interferogram_svg(ig).encode("utf-8"))
+    if args.out:
+        Path(args.out).write_bytes(text.encode("utf-8"))
+    else:
+        sys.stdout.write(text)
     return EXIT_OK
 
 
@@ -119,10 +110,10 @@ def _cmd_factor(args) -> int:
     ig = igio.read_interferogram(args.interferogram)
     report = extract_factors(ig, args.n, threshold=args.threshold, epsilon=args.epsilon)
     if args.format == "json":
-        _print_json({**_report_payload(report), "candidates": _candidates_payload(report.candidates)})
+        print(_report_json(report, _candidates_json(report.candidates)))
     else:
         print(_report_text(report))
-    return EXIT_OK if report.factors else EXIT_NO_FACTORS
+    return _exit_code([report])
 
 
 def _parse_targets(raw: str, source: str) -> list[int]:
@@ -153,8 +144,16 @@ def _cmd_scan(args) -> int:
         targets = _parse_targets(raw, f"--targets-file {args.targets_file}")
     ig = igio.read_interferogram(args.interferogram)
     reports = scan_targets(ig, targets, threshold=args.threshold, epsilon=args.epsilon)
-    _print_reports(reports)
-    return EXIT_OK if any(r.factors for r in reports) else EXIT_NO_FACTORS
+    candidates, encoded = None, ""  # a scan's reports share one candidate list, encoded once
+    out = sys.stdout
+    out.write("[\n  ")
+    for i, report in enumerate(reports):
+        if report.candidates is not candidates:
+            candidates = report.candidates
+            encoded = _candidates_json(candidates, "  ")
+        out.write((",\n  " if i else "") + _report_json(report, encoded, "  "))
+    out.write("\n]\n")
+    return _exit_code(reports)
 
 
 def _plan_payload(plan: MeasurementPlan, extra: dict) -> dict:
@@ -226,14 +225,20 @@ def build_parser() -> argparse.ArgumentParser:
         fromfile_prefix_chars="@",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # flags shared by two subcommands, each defined once
+    window = argparse.ArgumentParser(add_help=False)
+    window.add_argument("--lambda-min", type=float, required=True)
+    window.add_argument("--lambda-max", type=float, required=True)
+    window.add_argument("--paths", type=int, default=3, help="number of interfering arms M")
+    window.add_argument("--order", type=int, default=2, help="arm-length polynomial order d")
+    spectrum = argparse.ArgumentParser(add_help=False)
+    spectrum.add_argument("--interferogram", required=True)
+    spectrum.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
+    spectrum.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
 
-    p = sub.add_parser("simulate", help="simulate an interferogram and write the v1 CSV")
+    p = sub.add_parser("simulate", parents=[window], help="simulate an interferogram and write the v1 CSV")
     p.add_argument("--x", type=float, required=True, help="displacement unit in nm")
-    p.add_argument("--lambda-min", type=float, required=True)
-    p.add_argument("--lambda-max", type=float, required=True)
     p.add_argument("--pixels", type=int, default=2048)
-    p.add_argument("--paths", type=int, default=3, help="number of interfering arms M")
-    p.add_argument("--order", type=int, default=2, help="arm-length polynomial order d")
     p.add_argument("--mirror-sigma", type=float, default=0.0, help="per-arm placement error std, nm")
     p.add_argument("--detector-sigma", type=float, default=0.0, help="per-pixel readout noise std")
     p.add_argument("--seed", type=int, default=0)
@@ -242,31 +247,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--allow-undersampled", action="store_true")
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("factor", help="extract factors of one target from an interferogram")
-    p.add_argument("--interferogram", required=True)
+    p = sub.add_parser(
+        "factor", parents=[spectrum], help="extract factors of one target from an interferogram"
+    )
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
-    p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.set_defaults(func=_cmd_factor)
 
-    p = sub.add_parser("scan", help="factor many targets from one interferogram")
-    p.add_argument("--interferogram", required=True)
+    p = sub.add_parser("scan", parents=[spectrum], help="factor many targets from one interferogram")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--targets", help="comma- or space-separated integers")
     group.add_argument("--targets-file", help="file of integers")
-    p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
-    p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
     p.set_defaults(func=_cmd_scan)
 
-    p = sub.add_parser("plan", help="multi-run displacement schedule for large targets")
+    p = sub.add_parser("plan", parents=[window], help="multi-run displacement schedule for large targets")
     p.add_argument("--n", type=int, help="single target")
     p.add_argument("--n-min", type=int, help="range scheme lower bound")
     p.add_argument("--n-max", type=int, help="range scheme upper bound")
-    p.add_argument("--lambda-min", type=float, required=True)
-    p.add_argument("--lambda-max", type=float, required=True)
-    p.add_argument("--paths", type=int, default=3)
-    p.add_argument("--order", type=int, default=2)
     p.add_argument("--emit-configs", help="directory for simulate-ready @flag files, one per run")
     p.set_defaults(func=_cmd_plan)
 

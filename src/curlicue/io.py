@@ -51,20 +51,20 @@ def dumps_interferogram(ig: Interferogram) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_rows(lines: list[str], first: int) -> np.ndarray:
-    """Row-by-row parse of the data block, naming the first bad line in its error."""
-    samples = []
+def _bad_row(lines: list[str], first: int, exc: ValueError) -> FileFormatError:
+    """The error for a data block, from lines[first] on, that numpy refused: it names the first
+    line that is not two numbers, by its line number in the file."""
     for lineno, row in enumerate(lines[first:], start=first + 1):
         if not row.strip():
             continue
         parts = row.split(",")
         if len(parts) != 2:
-            raise FileFormatError(f"line {lineno}: expected 2 columns, got {len(parts)}")
+            return FileFormatError(f"line {lineno}: expected 2 columns, got {len(parts)}")
         try:
-            samples.append((float(parts[0]), float(parts[1])))
+            float(parts[0]), float(parts[1])
         except ValueError:
-            raise FileFormatError(f"line {lineno}: non-numeric data {row!r}") from None
-    return np.array(samples, dtype=np.float64).reshape(-1, 2)
+            return FileFormatError(f"line {lineno}: non-numeric data {row!r}")
+    return FileFormatError(f"non-numeric data: {exc}")  # numpy and float() accept the same tokens
 
 
 def loads_interferogram(text: str) -> Interferogram:
@@ -87,9 +87,9 @@ def loads_interferogram(text: str) -> Interferogram:
     try:
         if any(row.count(",") != 1 for row in rows):
             raise ValueError("not two columns per row")
-        samples = np.array(",".join(rows).split(","), dtype=np.float64).reshape(-1, 2)
-    except ValueError:
-        samples = _parse_rows(lines, i + 1)
+        samples = np.array(",".join(rows).split(",") if rows else [], dtype=np.float64).reshape(-1, 2)
+    except ValueError as exc:
+        raise _bad_row(lines, i + 1, exc) from None
     for key in _CORE_KEYS:
         if key not in header:
             raise FileFormatError(f"missing required header key {key!r}")

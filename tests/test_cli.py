@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import re
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from curlicue.cli import main
+from curlicue.cli import build_parser, main
 
 DEMO_FLAGS = [
     "simulate",
@@ -133,6 +134,20 @@ class TestSimulate:
         )
         assert code == 0
         assert svg.read_text().startswith('<?xml version="1.0"')
+
+
+    def test_failed_plot_leaves_no_spectrum(self, tmp_path, capsys):
+        # the plot is written before the spectrum, so a plot that cannot be written stops the
+        # run before any v1 text reaches the file or stdout
+        out = tmp_path / "a.csv"
+        argv = DEMO_FLAGS + ["--plot", str(tmp_path / "nodir" / "x.svg")]
+        assert main(argv + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "x.svg" in captured.err
+        assert not out.exists()
+        assert main(argv) == 2
+        assert capsys.readouterr().out == ""
 
 
 class TestFactor:
@@ -485,6 +500,76 @@ def test_report_json_is_indent_two(demo_file, tmp_path, capsys, argv, code):
     assert out == json.dumps(payload, indent=2) + "\n"
     reports = payload if argv[0] == "scan" else [payload]
     assert all(r["candidates"] for r in reports) == (path == demo_file)
+
+
+# every subcommand's flags as the parser defined them before the shared flags moved into
+# parent parsers: option -> (type, default, required)
+PARSER_FLAGS = {
+    "simulate": {
+        "--x": ("float", None, True),
+        "--lambda-min": ("float", None, True),
+        "--lambda-max": ("float", None, True),
+        "--pixels": ("int", 2048, False),
+        "--paths": ("int", 3, False),
+        "--order": ("int", 2, False),
+        "--mirror-sigma": ("float", 0.0, False),
+        "--detector-sigma": ("float", 0.0, False),
+        "--seed": ("int", 0, False),
+        "--out": (None, None, False),
+        "--plot": (None, None, False),
+        "--allow-undersampled": (None, False, False),
+    },
+    "factor": {
+        "--interferogram": (None, None, True),
+        "--n": ("int", None, True),
+        "--threshold": ("float", 0.7, False),
+        "--epsilon": ("float", 0.05, False),
+        "--format": (None, "json", False),
+    },
+    "scan": {
+        "--interferogram": (None, None, True),
+        "--targets": (None, None, False),
+        "--targets-file": (None, None, False),
+        "--threshold": ("float", 0.7, False),
+        "--epsilon": ("float", 0.05, False),
+    },
+    "plan": {
+        "--n": ("int", None, False),
+        "--n-min": ("int", None, False),
+        "--n-max": ("int", None, False),
+        "--lambda-min": ("float", None, True),
+        "--lambda-max": ("float", None, True),
+        "--paths": ("int", 3, False),
+        "--order": ("int", 2, False),
+        "--emit-configs": (None, None, False),
+    },
+    "plot": {
+        "--interferogram": (None, None, True),
+        "--n": ("int", None, False),
+        "--out": (None, None, True),
+    },
+    "oracle": {
+        "--n": ("int", None, True),
+        "--window": (None, None, False),
+    },
+}
+
+
+def test_every_subcommand_keeps_its_flags():
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    table = {
+        name: {
+            opt: (getattr(action.type, "__name__", None), action.default, action.required)
+            for action in sub._actions
+            if action.dest != "help"
+            for opt in action.option_strings
+        }
+        for name, sub in subparsers.choices.items()
+    }
+    assert table == PARSER_FLAGS
+    # --targets and --targets-file stay one required, mutually exclusive group of scan's own
+    [group] = subparsers.choices["scan"]._mutually_exclusive_groups
+    assert group.required and [a.dest for a in group._group_actions] == ["targets", "targets_file"]
 
 
 class TestOracleCommand:

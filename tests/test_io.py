@@ -144,6 +144,18 @@ class TestParseErrors:
         text = f"{VERSION_LINE}\n# x_nm=10\n# M=2\n# d=2\nlambda_nm,intensity\n400.0,abc\n401.0,0.1\n"
         with pytest.raises(FileFormatError):
             loads_interferogram(text)
+        # blank lines are skipped but counted: the error names the bad row's line in the file
+        head = f"{VERSION_LINE}\n# x_nm=10\n# M=2\n# d=2\nlambda_nm,intensity\n400.0,0.1\n"
+        with pytest.raises(FileFormatError, match=r"^line 9: expected 2 columns, got 3$"):
+            loads_interferogram(head + "\n\n401.0,0.1,7\n402.0,0.1\n")
+        with pytest.raises(FileFormatError, match=r"^line 10: non-numeric data '402.0,x'$"):
+            loads_interferogram(head + "401.0,0.1\n\n \t\n402.0,x\n")
+
+    def test_no_data_rows(self):
+        # an empty data block holds no bad row: the sample count refuses it
+        text = f"{VERSION_LINE}\n# x_nm=10\n# M=2\n# d=2\nlambda_nm,intensity\n\n"
+        with pytest.raises(FileFormatError, match="^an interferogram needs at least 2 samples$"):
+            loads_interferogram(text)
 
     def test_wrong_column_count(self):
         text = f"{VERSION_LINE}\n# x_nm=10\n# M=2\n# d=2\nlambda_nm,intensity\n400.0,0.1,9\n"
