@@ -95,14 +95,13 @@ def _cmd_simulate(args) -> int:
     window = SpectralWindow(args.lambda_min, args.lambda_max, args.pixels)
     noise = NoiseModel(args.mirror_sigma, detector_sigma=args.detector_sigma, seed=args.seed)
     ig = simulate(config, window, noise, allow_undersampled=args.allow_undersampled)
-    # the plot goes first, the v1 text is built before it: a failed plot leaves no spectrum
-    text = igio.dumps_interferogram(ig)
+    # the plot goes first: a plot that cannot be written leaves no spectrum
     if args.plot:
         Path(args.plot).write_bytes(plotting.interferogram_svg(ig).encode("utf-8"))
     if args.out:
-        Path(args.out).write_bytes(text.encode("utf-8"))
+        igio.write_interferogram(ig, args.out)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(igio.dumps_interferogram(ig))
     return EXIT_OK
 
 

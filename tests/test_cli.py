@@ -148,6 +148,11 @@ class TestSimulate:
         assert not out.exists()
         assert main(argv) == 2
         assert capsys.readouterr().out == ""
+        # the other way round the trade shows: a spectrum that cannot be written leaves the plot
+        svg = tmp_path / "b.svg"
+        assert main(DEMO_FLAGS + ["--out", str(tmp_path / "nodir" / "a.csv"), "--plot", str(svg)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert svg.read_text().rstrip().endswith("</svg>")
 
 
 class TestFactor:
@@ -570,6 +575,50 @@ def test_every_subcommand_keeps_its_flags():
     # --targets and --targets-file stay one required, mutually exclusive group of scan's own
     [group] = subparsers.choices["scan"]._mutually_exclusive_groups
     assert group.required and [a.dest for a in group._group_actions] == ["targets", "targets_file"]
+
+
+# the usage lines at 80 columns: the shared flags come first, from the parent parsers, where
+# the parser before the fold listed them in place (see CHANGES.md)
+USAGE = {
+    "simulate": """usage: curlicue simulate [-h] --lambda-min LAMBDA_MIN --lambda-max LAMBDA_MAX
+                         [--paths PATHS] [--order ORDER] --x X
+                         [--pixels PIXELS] [--mirror-sigma MIRROR_SIGMA]
+                         [--detector-sigma DETECTOR_SIGMA] [--seed SEED]
+                         [--out OUT] [--plot PLOT] [--allow-undersampled]
+""",
+    "factor": """usage: curlicue factor [-h] --interferogram INTERFEROGRAM
+                       [--threshold THRESHOLD] [--epsilon EPSILON] --n N
+                       [--format {json,text}]
+""",
+    "scan": """usage: curlicue scan [-h] --interferogram INTERFEROGRAM
+                     [--threshold THRESHOLD] [--epsilon EPSILON]
+                     (--targets TARGETS | --targets-file TARGETS_FILE)
+""",
+    "plan": """usage: curlicue plan [-h] --lambda-min LAMBDA_MIN --lambda-max LAMBDA_MAX
+                     [--paths PATHS] [--order ORDER] [--n N] [--n-min N_MIN]
+                     [--n-max N_MAX] [--emit-configs EMIT_CONFIGS]
+""",
+    "plot": "usage: curlicue plot [-h] --interferogram INTERFEROGRAM [--n N] --out OUT\n",
+    "oracle": "usage: curlicue oracle [-h] --n N [--window WINDOW]\n",
+}
+
+
+@pytest.mark.parametrize("command", sorted(USAGE))
+def test_usage_line(monkeypatch, capsys, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_:
+        main([command, "--help"])
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out.startswith(USAGE[command] + "\n")
+
+
+def test_missing_required_flags_are_named_in_definition_order(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["simulate"])
+    assert exit_.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "error: the following arguments are required: --lambda-min, --lambda-max, --x\n"
+    )
 
 
 class TestOracleCommand:
