@@ -577,8 +577,7 @@ def test_every_subcommand_keeps_its_flags():
     assert group.required and [a.dest for a in group._group_actions] == ["targets", "targets_file"]
 
 
-# the usage lines at 80 columns: the shared flags come first, from the parent parsers, where
-# the parser before the fold listed them in place (see CHANGES.md)
+# each subcommand's usage line at 80 columns; argparse lists a parent parser's flags first
 USAGE = {
     "simulate": """usage: curlicue simulate [-h] --lambda-min LAMBDA_MIN --lambda-max LAMBDA_MAX
                          [--paths PATHS] [--order ORDER] --x X
