@@ -14,7 +14,9 @@ Layout::
     ...
 
 Floats are written with repr(), i.e. the shortest decimal that parses back
-to the identical float64, so parse(serialize(ig)) == ig bit for bit.
+to the identical float64, so parse(serialize(ig)) == ig bit for bit.  A
+number, in a data cell or in x_nm, M and d, is read as numpy's C reader
+reads it: ASCII only and no '_', so '1_0' and non-ASCII digits are refused.
 """
 
 from __future__ import annotations
@@ -51,6 +53,18 @@ def dumps_interferogram(ig: Interferogram) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _plain(value: str) -> str:
+    """value, stripped, if it spells a number as numpy's C reader does: ASCII only, no '_'.
+
+    float() and int() also take '1_0' and non-ASCII digits such as Arabic-Indic ones; the C
+    reader, and so the v1 format, does not.
+    """
+    value = value.strip()
+    if not value.isascii() or "_" in value:
+        raise ValueError(f"not an ASCII number without '_': {value!r}")
+    return value
+
+
 def _bad_row(lines: list[str], first: int, exc: ValueError) -> FileFormatError:
     """The error for a data block, from lines[first] on, that numpy refused: it names the first
     line that is not two numbers, by its line number in the file."""
@@ -61,14 +75,18 @@ def _bad_row(lines: list[str], first: int, exc: ValueError) -> FileFormatError:
         if len(parts) != 2:
             return FileFormatError(f"line {lineno}: expected 2 columns, got {len(parts)}")
         try:
-            float(parts[0]), float(parts[1])
+            float(_plain(parts[0])), float(_plain(parts[1]))
         except ValueError:
             return FileFormatError(f"line {lineno}: non-numeric data {row!r}")
-    return FileFormatError(f"non-numeric data: {exc}")  # numpy and float() accept the same tokens
+    return FileFormatError(f"non-numeric data: {exc}")  # _plain and float() refuse what numpy does
 
 
 def loads_interferogram(text: str) -> Interferogram:
-    """Parse the v1 text format; raises FileFormatError on any deviation."""
+    """Parse the v1 text format; raises FileFormatError on any deviation.
+
+    Cost: the text is split into lines once, and the non-blank data rows are parsed in one C
+    pass by numpy.loadtxt; only a refused block is walked again in Python, to name its line.
+    """
     lines = text.splitlines()
     if not lines or lines[0].strip() != VERSION_LINE:
         raise FileFormatError(f"first line must be {VERSION_LINE!r}")
@@ -84,18 +102,20 @@ def loads_interferogram(text: str) -> Interferogram:
     if i >= len(lines) or lines[i].strip() != _COLUMNS:
         raise FileFormatError(f"expected column header {_COLUMNS!r} after the header block")
     rows = list(filter(str.strip, lines[i + 1 :]))
-    try:
-        if any(row.count(",") != 1 for row in rows):
-            raise ValueError("not two columns per row")
-        samples = np.array(",".join(rows).split(",") if rows else [], dtype=np.float64).reshape(-1, 2)
-    except ValueError as exc:
-        raise _bad_row(lines, i + 1, exc) from None
+    samples = np.empty((0, 2))  # loadtxt warns on an empty block; the sample count refuses it below
+    if rows:
+        try:
+            samples = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+            if samples.shape[1] != 2:
+                raise ValueError(f"{samples.shape[1]} columns")
+        except ValueError as exc:
+            raise _bad_row(lines, i + 1, exc) from None
     for key in _CORE_KEYS:
         if key not in header:
             raise FileFormatError(f"missing required header key {key!r}")
     try:
-        x_nm = float(header["x_nm"])
-        spec = SumSpec(int(header["M"]), int(header["d"]))
+        x_nm = float(_plain(header["x_nm"]))
+        spec = SumSpec(int(_plain(header["M"])), int(_plain(header["d"])))
     except ValueError as exc:
         raise FileFormatError(f"bad header value: {exc}") from None
     provenance = {k: v for k, v in header.items() if k not in _CORE_KEYS}

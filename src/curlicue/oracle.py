@@ -108,6 +108,15 @@ def trial_division(n: int) -> Factorization:
     return Factorization(n, tuple(powers))
 
 
+def checked_window(n: int, lo: int, hi: int) -> int:
+    """min(hi, n), the top of the part of [lo, hi] that can hold a divisor of n, once
+    1 <= lo <= hi and 1 <= n < 2**63 hold; raises OutOfRange otherwise."""
+    checked_int(lo, "lo", 1, error=OutOfRange)
+    checked_int(hi, "hi", lo, error=OutOfRange)
+    checked_int(n, "n", 1, _MAX_N, error=OutOfRange)
+    return min(hi, n)
+
+
 def divisors_in_window(n: int, lo: int, hi: int) -> list[int]:
     """Divisors d of n with lo <= d <= hi, ascending; 1 <= n < 2**63.
 
@@ -116,10 +125,7 @@ def divisors_in_window(n: int, lo: int, hi: int) -> list[int]:
     divisions at most (none when lo > n); otherwise the divisors are read
     off the factorization.
     """
-    checked_int(lo, "lo", 1, error=OutOfRange)
-    checked_int(hi, "hi", lo, error=OutOfRange)
-    checked_int(n, "n", 1, _MAX_N, error=OutOfRange)
-    top = min(hi, n)
+    top = checked_window(n, lo, hi)
     if top - lo < _SCAN_WIDTH:
         return [d for d in range(lo, top + 1) if n % d == 0]
     return [d for d in trial_division(n).divisors() if lo <= d <= hi]

@@ -10,6 +10,9 @@ from pathlib import Path
 
 import pytest
 
+import curlicue.cli
+import curlicue.oracle
+from curlicue import divisors_in_window, trial_division
 from curlicue.cli import build_parser, main
 
 DEMO_FLAGS = [
@@ -640,6 +643,32 @@ class TestOracleCommand:
 
     def test_bad_n_exit_two(self):
         assert main(["oracle", "--n", "1"]) == 2
+
+    def test_wide_window_factors_once(self, capsys, monkeypatch):
+        # a window of 2048 or more is read off a factorization: the command's own, not a second one
+        n = 1000000000039
+        want = json.dumps(
+            {
+                "n": n,
+                "prime_powers": [[p, e] for p, e in trial_division(n).prime_powers],
+                "is_prime": trial_division(n).is_prime,
+                "divisors": trial_division(n).divisors(),
+                "window": [1, 5000],
+                "window_divisors": divisors_in_window(n, 1, 5000),
+            },
+            indent=2,
+        )
+        calls = []
+
+        def counted(m):
+            calls.append(m)
+            return trial_division(m)
+
+        monkeypatch.setattr(curlicue.cli, "trial_division", counted)
+        monkeypatch.setattr(curlicue.oracle, "trial_division", counted)
+        assert main(["oracle", "--n", str(n), "--window", "1,5000"]) == 0
+        assert calls == [n]
+        assert capsys.readouterr().out == want + "\n"
 
     @pytest.mark.parametrize("window", ["1130", "1130,x", "1,2,3"])
     def test_bad_window_names_the_form(self, capsys, window):
