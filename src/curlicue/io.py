@@ -54,11 +54,8 @@ def dumps_interferogram(ig: Interferogram) -> str:
 
 
 def _plain(value: str) -> str:
-    """value, stripped, if it spells a number as numpy's C reader does: ASCII only, no '_'.
-
-    float() and int() also take '1_0' and non-ASCII digits such as Arabic-Indic ones; the C
-    reader, and so the v1 format, does not.
-    """
+    """value, stripped, if it spells a number as numpy's C reader does: ASCII only and no '_'
+    (float() and int() would also take '1_0' and Arabic-Indic digits)."""
     value = value.strip()
     if not value.isascii() or "_" in value:
         raise ValueError(f"not an ASCII number without '_': {value!r}")

@@ -647,12 +647,13 @@ class TestOracleCommand:
     def test_wide_window_factors_once(self, capsys, monkeypatch):
         # a window of 2048 or more is read off a factorization: the command's own, not a second one
         n = 1000000000039
+        fact = trial_division(n)
         want = json.dumps(
             {
                 "n": n,
-                "prime_powers": [[p, e] for p, e in trial_division(n).prime_powers],
-                "is_prime": trial_division(n).is_prime,
-                "divisors": trial_division(n).divisors(),
+                "prime_powers": [[p, e] for p, e in fact.prime_powers],
+                "is_prime": fact.is_prime,
+                "divisors": fact.divisors(),
                 "window": [1, 5000],
                 "window_divisors": divisors_in_window(n, 1, 5000),
             },

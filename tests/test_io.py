@@ -293,7 +293,8 @@ def _reference_loads(text: str) -> Interferogram:
         samples = np.array(",".join(rows).split(",") if rows else [], dtype=np.float64).reshape(-1, 2)
         x_nm = float(header["x_nm"])
         spec = SumSpec(int(header["M"]), int(header["d"]))
-        return Interferogram(x_nm, spec, samples, {k: v for k, v in header.items() if k not in ("x_nm", "M", "d")})
+        provenance = {k: v for k, v in header.items() if k not in ("x_nm", "M", "d")}
+        return Interferogram(x_nm, spec, samples, provenance)
     except (KeyError, ValueError) as exc:
         raise FileFormatError(str(exc)) from None
 
