@@ -17,7 +17,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import EmptyWindow, checked_int, checked_reach, checked_real
-from .expsum import decompose
+from .expsum import PRECISION_CEILING, decompose
 from .interferometer import Interferogram, SpectralWindow
 
 DEFAULT_THRESHOLD = 0.7
@@ -111,14 +111,16 @@ def detect_peaks(ig: Interferogram, threshold: float = DEFAULT_THRESHOLD) -> lis
     residual follow.  Candidates sharing the same q are merged keeping the
     strongest; the result is in ascending wavelength and strictly descending q.
 
-    Cost per spectrum: one numpy pass over the N pixels, one over the k
-    maxima, then k `decompose` calls in Python.
+    Cost per spectrum: one numpy pass over the N pixels, then a few over the
+    k maxima, and one `decompose` call, which decides every refusal.
     """
     checked_real(threshold, "threshold", -math.inf, strict=False)
     lam = ig.wavelengths()
     inten = ig.intensities()
     mid = inten[1:-1]
     i = np.flatnonzero((mid > inten[:-2]) & (mid > inten[2:]) & (mid >= threshold)) + 1
+    if not len(i):
+        return []
     x1, y1 = lam[i], inten[i]
     with np.errstate(all="ignore"):  # where a >= 0, -b/(2a) may divide by zero; np.where drops it
         u0 = lam[i - 1] - x1
@@ -131,17 +133,17 @@ def detect_peaks(ig: Interferogram, threshold: float = DEFAULT_THRESHOLD) -> lis
         vertex = a < 0.0
         lam_pk = np.where(vertex, x1 + u, x1)
         int_pk = np.where(vertex, y1 + (a * u + b) * u, y1)
-    best: dict[int, PeakCandidate] = {}
-    for lam_i, int_i in zip(lam_pk.tolist(), int_pk.tolist()):
-        dec = decompose(ig.displacement_unit_nm / lam_i)
-        if dec.k < 1:
-            continue
-        known = best.get(dec.k)
-        if known is None or int_i > known.intensity_peak:
-            best[dec.k] = PeakCandidate(lam_i, int_i, dec.k, dec.tau)
-    # a vertex stays between its maximum's neighbours, so wavelengths never fall and
-    # q = round(x/lambda) never rises: equal q are neighbours, first seen in wavelength order
-    return list(best.values())
+        ratio = ig.displacement_unit_nm / lam_pk  # an overflow is left for decompose to refuse
+    # decompose refuses the first ratio, in wavelength order, that is not finite or reaches 2**40
+    decompose(ratio[np.argmax(~(ratio < PRECISION_CEILING))])
+    tau = ratio - np.rint(ratio)  # decompose's split and tie rule, bit for bit below 2**40
+    tau[tau == 0.5] = -0.5
+    k = np.rint(ratio - tau).astype(np.int64)
+    # q never rises with wavelength: sorted by q, the stable sort keeps wavelength order and
+    # puts each q's strongest maximum, the first on a tie, ahead of the rest
+    order = np.lexsort((-int_pk, -k))[: np.count_nonzero(k >= 1)]
+    order = order[np.diff(k[order], prepend=0) != 0]  # every kept q is at least 1
+    return list(map(PeakCandidate, *(c[order].tolist() for c in (lam_pk, int_pk, k, tau))))
 
 
 def extract_factors(

@@ -96,13 +96,18 @@ def _cmd_simulate(args) -> int:
     window = SpectralWindow(args.lambda_min, args.lambda_max, args.pixels)
     noise = NoiseModel(args.mirror_sigma, detector_sigma=args.detector_sigma, seed=args.seed)
     ig = simulate(config, window, noise, allow_undersampled=args.allow_undersampled)
-    # the plot goes first: a plot that cannot be written leaves no spectrum
+    # the plot goes first, and goes again if the spectrum fails: a failed run leaves neither
     if args.plot:
         Path(args.plot).write_bytes(plotting.interferogram_svg(ig).encode("utf-8"))
-    if args.out:
-        igio.write_interferogram(ig, args.out)
-    else:
-        sys.stdout.write(igio.dumps_interferogram(ig))
+    try:
+        if args.out:
+            igio.write_interferogram(ig, args.out)
+        else:
+            sys.stdout.write(igio.dumps_interferogram(ig))
+    except BaseException:
+        if args.plot:
+            Path(args.plot).unlink(missing_ok=True)
+        raise
     return EXIT_OK
 
 

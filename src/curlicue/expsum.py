@@ -39,19 +39,12 @@ class SumSpec:
         checked_int(self.order, "order", lo=2)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class PhaseDecomposition:
     """Split of a ratio into its nearest integer k and residual tau, xi = k + tau."""
 
     k: int
     tau: float
-
-    # the generated __init__ of a frozen dataclass calls object.__setattr__ per field;
-    # decompose builds one of these per spectral maximum, so store into the dict directly
-    def __init__(self, k: int, tau: float) -> None:
-        d = self.__dict__
-        d["k"] = k
-        d["tau"] = tau
 
 
 def decompose(xi: float) -> PhaseDecomposition:

@@ -121,7 +121,7 @@ class Interferogram:
         if len(samples) < 2:
             raise ValueError("an interferogram needs at least 2 samples")
         lam, inten = samples.T
-        if not (np.all(np.isfinite(lam)) and lam[0] > 0 and np.all(np.diff(lam) > 0)):
+        if not (np.all(np.isfinite(lam)) and lam[0] > 0 and np.all(lam[1:] > lam[:-1])):
             raise ValueError("sample wavelengths must be finite, positive and strictly increasing")
         if not (np.all(np.isfinite(inten)) and np.all(inten >= 0)):
             raise ValueError("intensities must be finite and >= 0")
@@ -216,7 +216,6 @@ def simulate(
             for m in range(arms)
         ]
 
-    lam = window.pixel_centers()
     detector = None
     ceiling = 1.0
     if noise.detector_sigma > 0:
@@ -226,10 +225,10 @@ def simulate(
         ceiling = 1.0 + 5.0 * noise.detector_sigma
 
     samples = np.empty((window.pixel_count, 2))
-    samples[:, 0] = lam
+    samples[:, 0] = window.pixel_centers()
     for start in range(0, window.pixel_count, _GRID_BLOCK):
         block = slice(start, start + _GRID_BLOCK)
-        lam_b = lam[block]
+        lam_b = samples[block, 0]
         ratio = config.displacement_unit_nm / lam_b
         tau = ratio - np.round(ratio)
         acc = np.zeros(lam_b.shape, dtype=np.complex128)

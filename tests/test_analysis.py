@@ -9,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import curlicue.analysis
 from curlicue import (
     EmptyWindow,
     FactorReport,
@@ -261,6 +262,139 @@ def test_detect_peaks_ceiling_message_matches_reference():
     with pytest.raises(PrecisionExceeded) as got:
         detect_peaks(ig, 0.7)
     assert str(got.value) == str(want.value)
+
+
+def _reference_detect_peaks(ig, threshold=0.7):
+    """detect_peaks with one decompose call and one dict merge per maximum: the reference."""
+    lam = ig.wavelengths()
+    inten = ig.intensities()
+    mid = inten[1:-1]
+    i = np.flatnonzero((mid > inten[:-2]) & (mid > inten[2:]) & (mid >= threshold)) + 1
+    x1, y1 = lam[i], inten[i]
+    with np.errstate(all="ignore"):
+        u0 = lam[i - 1] - x1
+        u2 = lam[i + 1] - x1
+        d0 = (inten[i - 1] - y1) / u0
+        d2 = (inten[i + 1] - y1) / u2
+        a = (d2 - d0) / (u2 - u0)
+        b = d2 - a * u2
+        u = np.minimum(np.maximum(-b / (2.0 * a), u0), u2)
+        vertex = a < 0.0
+        lam_pk = np.where(vertex, x1 + u, x1)
+        int_pk = np.where(vertex, y1 + (a * u + b) * u, y1)
+    best = {}
+    for lam_i, int_i in zip(lam_pk.tolist(), int_pk.tolist()):
+        dec = decompose(ig.displacement_unit_nm / lam_i)
+        if dec.k < 1:
+            continue
+        known = best.get(dec.k)
+        if known is None or int_i > known.intensity_peak:
+            best[dec.k] = PeakCandidate(lam_i, int_i, dec.k, dec.tau)
+    return list(best.values())
+
+
+def _assert_same_peaks(ig, threshold=0.7):
+    want = _reference_detect_peaks(ig, threshold)
+    got = detect_peaks(ig, threshold)
+    assert got == want
+    assert repr(got) == repr(want)
+    assert all(type(p.q) is int and type(p.residual) is float for p in got)
+    return want
+
+
+@pytest.mark.parametrize("n", [1100, 2000, 4430, 9409, 9700])
+def test_columnar_split_matches_the_loop_on_planned_runs(n):
+    lamp = SpectralWindow(400.0, 800.0)
+    for run in plan_single_number(n, lamp).runs:
+        config = InterferometerConfig(run.x_nm, SumSpec(3, 2))
+        ig = simulate(config, SpectralWindow(400.0, 800.0, min_pixels(config, lamp)))
+        assert _assert_same_peaks(ig)
+
+
+@pytest.mark.parametrize("mirror_sigma", [0.0, 10.0, 50.0, 100.0, 200.0])
+def test_columnar_split_matches_the_loop_under_noise(demo_config, demo_window, mirror_sigma):
+    for seed in range(4):
+        ig = simulate(demo_config, demo_window, NoiseModel(mirror_sigma, detector_sigma=0.02, seed=seed))
+        for threshold in (0.7, 0.3, -1.0):
+            _assert_same_peaks(ig, threshold)
+
+
+def _spike_rows(centers, height=0.9, floor=0.2):
+    # a symmetric dyadic spike per center, so the vertex is the center itself
+    return [(c + dc, h) for c in centers for dc, h in ((-0.5, floor), (0.0, height), (0.5, floor))]
+
+
+def test_columnar_split_matches_the_loop_on_hand_built_spectra():
+    # x = 15 nm: ratios 7.5, 2.5, 1.5 and 0.5 sit on the tie rule (q = 8, 3, 2, 1 and
+    # residual -0.5), and 0.25 at 60 nm rounds to q = 0 and is dropped
+    ties = make_interferogram(15.0, _spike_rows([2.0, 6.0, 10.0, 30.0, 60.0]))
+    peaks = _assert_same_peaks(ties, 0.0)
+    assert [(p.q, p.residual) for p in peaks] == [(8, -0.5), (3, -0.5), (2, -0.5), (1, -0.5)]
+    # two equal maxima with the same q = 2: the first one wins
+    twins = make_interferogram(1000.0, _spike_rows([499.0, 501.0]))
+    peaks = _assert_same_peaks(twins)
+    assert [(p.lambda_peak_nm, p.q) for p in peaks] == [(499.0, 2)]
+    # the stronger of the two wins wherever it is
+    rows = _spike_rows([499.0]) + _spike_rows([501.0], height=0.95)
+    assert [p.lambda_peak_nm for p in _assert_same_peaks(make_interferogram(1000.0, rows))] == [501.0]
+    # only ratios below 1/2
+    assert _assert_same_peaks(make_interferogram(15.0, _spike_rows([40.0, 60.0])), 0.0) == []
+    # no maxima at all
+    assert _assert_same_peaks(make_interferogram(1000.0, [(400.0 + j, 0.5) for j in range(8)]), -1.0) == []
+
+
+# the first maximum's ratio is 1e11, but the slopes of the second, one double either side of
+# it, overflow and put its vertex at nan
+_NEXT = float(np.nextafter(1e-150, 1.0))
+_NAN_VERTEX = make_interferogram(
+    1e-140,
+    zip(
+        [9e-152, 1e-151, 1.1e-151, 1e-150, _NEXT, float(np.nextafter(_NEXT, 1.0)), 2e-150],
+        [0.1, 0.9, 0.1, 0.1, 0.95, 0.1, 0.1],
+    ),
+)
+_REFUSALS = [
+    # a ratio of exactly 2**40
+    (
+        make_interferogram(2.0**41, _spike_rows([2.0])),
+        PrecisionExceeded,
+        "|xi| = 1.09951e+12 is at or above the 2**40 precision ceiling",
+    ),
+    # 1e300 / 1e-10 overflows to inf
+    (
+        make_interferogram(1e300, [(0.5e-10, 0.1), (1e-10, 0.9), (1.5e-10, 0.1)]),
+        ValueError,
+        "xi must be finite, got inf",
+    ),
+    (_NAN_VERTEX, ValueError, "xi must be finite, got nan"),
+]
+
+
+@pytest.mark.parametrize("ig, kind, message", _REFUSALS, ids=["at-ceiling", "inf", "nan-after-valid"])
+def test_columnar_split_refuses_as_the_loop_does(ig, kind, message):
+    with pytest.raises(kind) as want:
+        _reference_detect_peaks(ig)
+    with pytest.raises(kind) as got:
+        detect_peaks(ig)
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
+    assert str(got.value) == message
+
+
+def test_one_decompose_call_per_spectrum_with_maxima(monkeypatch, demo_interferogram):
+    calls = []
+
+    def counted(xi):
+        calls.append(xi)
+        return decompose(xi)
+
+    monkeypatch.setattr(curlicue.analysis, "decompose", counted)
+    assert len(detect_peaks(demo_interferogram)) == 7
+    assert len(calls) == 1
+    assert detect_peaks(demo_interferogram, threshold=1.01) == []
+    assert len(calls) == 1
+    scan_targets(demo_interferogram, [1308567, 1306349])
+    assert len(calls) == 2
 
 
 class TestExtractFactors:
