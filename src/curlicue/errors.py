@@ -19,7 +19,8 @@ class UnderSampled(CurlicueError):
     def __init__(self, required: int, given: int):
         super().__init__(
             f"pixel_count={given} undersamples the interferogram; need at "
-            f"least {required} pixels (or pass allow_undersampled=True)"
+            f"least {required} pixels (or pass allow_undersampled=True, or "
+            f"--allow-undersampled on the command line)"
         )
         self.required = required
         self.given = given

@@ -216,13 +216,10 @@ def simulate(
             for m in range(arms)
         ]
 
-    detector = None
-    ceiling = 1.0
-    if noise.detector_sigma > 0:
-        detector = _stream(noise.seed, _PURPOSE_DETECTOR, 0).normal(
-            0.0, noise.detector_sigma, size=window.pixel_count
-        )
-        ceiling = 1.0 + 5.0 * noise.detector_sigma
+    # one stream gives its normals in order, whatever the block sizes, so drawing
+    # per block keeps the bits of one whole-grid draw
+    detector = _stream(noise.seed, _PURPOSE_DETECTOR, 0) if noise.detector_sigma > 0 else None
+    ceiling = 1.0 + 5.0 * noise.detector_sigma
 
     samples = np.empty((window.pixel_count, 2))
     samples[:, 0] = window.pixel_centers()
@@ -238,7 +235,7 @@ def simulate(
             acc += w * np.exp((2j * math.pi) * u)
         values = acc.real**2 + acc.imag**2
         if detector is not None:
-            values += detector[block]
+            values += detector.normal(0.0, noise.detector_sigma, size=len(values))
         np.clip(values, 0.0, ceiling, out=samples[block, 1])
 
     provenance = {

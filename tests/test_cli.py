@@ -68,11 +68,20 @@ class TestSimulate:
         assert proc.returncode == 2
         assert "usage" in proc.stderr.lower()
 
-    def test_undersampled_exit_and_override(self, tmp_path):
+    def test_undersampled_exit_and_override(self, tmp_path, capsys):
+        out = tmp_path / "u.csv"
         argv = ["simulate", "--x", "523426.8", "--lambda-min", "460.36",
-                "--lambda-max", "463.24", "--pixels", "16", "--out", str(tmp_path / "u.csv")]
+                "--lambda-max", "463.24", "--pixels", "100", "--out", str(out)]
         assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: pixel_count=100 undersamples the interferogram; need at least 381 pixels "
+            "(or pass allow_undersampled=True, or --allow-undersampled on the command line)\n"
+        )
+        assert not out.exists()
         assert main(argv + ["--allow-undersampled"]) == 0
+        assert out.exists()
 
     def test_output_is_byte_stable(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import math
 import tracemalloc
 
@@ -20,6 +21,7 @@ from curlicue import (
     path_length,
     simulate,
 )
+from curlicue.interferometer import _GRID_BLOCK
 from conftest import DEMO_WINDOW, DEMO_X_NM
 
 
@@ -94,16 +96,22 @@ class TestNoiselessSimulation:
         assert simulate(demo_config, demo_window) == simulate(demo_config, demo_window)
 
 
-def test_simulate_holds_its_samples_and_one_copy_at_peak():
-    # the pixel centres go straight into the samples, so the peak is the samples, the
-    # constructor's copy and block-sized temporaries; a separate wavelength array and an
-    # np.diff temporary would make it 3.1x
+@pytest.mark.parametrize(
+    "noise", [None, NoiseModel(10.0, (0.5, 0.3, 0.2), 0.02, seed=5)], ids=["noiseless", "noisy"]
+)
+def test_simulate_holds_its_samples_and_one_copy_at_peak(noise):
+    # the pixel centres go straight into the samples and detector noise is drawn block by
+    # block, so the peak is the samples, the constructor's copy and block-sized temporaries;
+    # a separate wavelength array and an np.diff temporary would make it 3.1x, and a
+    # whole-grid detector draw 2.6x
     config = InterferometerConfig(2.9e6, SumSpec(3, 2))
     window = SpectralWindow(400.0, 800.0, 400_000)
     assert min_pixels(config, window) <= window.pixel_count
+    # a first noisy run imports numpy.random, about 0.8 MB that is not simulate's
+    simulate(config, SpectralWindow(400.0, 800.0, 16), noise, allow_undersampled=True)
     tracemalloc.start()
     try:
-        ig = simulate(config, window)
+        ig = simulate(config, window, noise)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -158,6 +166,17 @@ class TestNoise:
     def test_mirror_error_keeps_peaks_high(self, demo_config, demo_window):
         ig = simulate(demo_config, demo_window, NoiseModel(mirror_sigma_nm=10.0, seed=0))
         assert ig.intensities().max() > 0.9
+
+    def test_block_draws_keep_the_whole_grid_bits(self, demo_config):
+        # 20,000 px is two full grid blocks and a partial one, so the detector noise is
+        # drawn in three pieces; sha256 of the samples taken when it was one whole-grid
+        # draw, so it assumes the same numpy and libm as the run that took it
+        window = SpectralWindow(*DEMO_WINDOW, pixel_count=20_000)
+        assert window.pixel_count > 2 * _GRID_BLOCK and window.pixel_count % _GRID_BLOCK
+        noise = NoiseModel(10.0, (0.5, 0.3, 0.2), 0.02, seed=5)
+        ig = simulate(demo_config, window, noise)
+        digest = hashlib.sha256(ig.samples.tobytes()).hexdigest()
+        assert digest == "d15dd611f55737680f619c1f1f5bcaa7bcfff5ae9fc8348cee6acc28d13cb763"
 
     def test_detector_noise_stays_in_band(self, demo_config, demo_window):
         sigma = 0.05
