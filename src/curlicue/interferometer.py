@@ -114,7 +114,8 @@ class Interferogram:
     provenance: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        checked_real(self.displacement_unit_nm, "displacement_unit_nm", 0, strict=True)
+        x = checked_real(self.displacement_unit_nm, "displacement_unit_nm", 0, strict=True)
+        object.__setattr__(self, "displacement_unit_nm", x)
         samples = np.array(self.samples, dtype=np.float64)
         if samples.ndim != 2 or samples.shape[1] != 2:
             raise ValueError(f"samples must be an N x 2 array, got shape {samples.shape}")
@@ -191,6 +192,12 @@ def simulate(
     amplitude weights, and per-pixel detector noise (clipped to the valid
     intensity band) apply on top.  The same config, window, and noise model
     (seed included) always produce identical output.
+
+    Per pixel the kernel computes one division, one complex exponential per
+    arm whose phase is not identically zero, and one more division per arm
+    with a mirror offset.  Arm 0 sits at the reference length, so an M-arm
+    run without mirror error computes M - 1 exponentials per pixel and a run
+    with mirror error computes M.
     """
     if noise is None:
         noise = _NOISELESS
@@ -221,6 +228,12 @@ def simulate(
     detector = _stream(noise.seed, _PURPOSE_DETECTOR, 0) if noise.detector_sigma > 0 else None
     ceiling = 1.0 + 5.0 * noise.detector_sigma
 
+    # arm 0 (c = 0, first in the sum) without mirror error has phase 0 at every pixel, and
+    # w * exp(0j) is exactly w + 0j: its weight starts each block's sum, with no exponential
+    arm_list = list(zip(coeffs, weights, deltas))
+    flat = sum(w for c, w, delta in arm_list if c == 0.0 and delta == 0.0)
+    waves = [(c, w, delta) for c, w, delta in arm_list if c != 0.0 or delta != 0.0]
+
     samples = np.empty((window.pixel_count, 2))
     samples[:, 0] = window.pixel_centers()
     for start in range(0, window.pixel_count, _GRID_BLOCK):
@@ -228,9 +241,13 @@ def simulate(
         lam_b = samples[block, 0]
         ratio = config.displacement_unit_nm / lam_b
         tau = ratio - np.round(ratio)
-        acc = np.zeros(lam_b.shape, dtype=np.complex128)
-        for c, w, delta in zip(coeffs, weights, deltas):
-            v = c * tau + delta / lam_b
+        acc = np.full(lam_b.shape, flat, dtype=np.complex128)
+        for c, w, delta in waves:
+            v = c * tau
+            if delta != 0.0:
+                # adding 0.0 / lambda would only turn a -0.0 phase into +0.0, and the
+                # rounding below gives +0.0 for either
+                v += delta / lam_b
             u = v - np.round(v)
             acc += w * np.exp((2j * math.pi) * u)
         values = acc.real**2 + acc.imag**2

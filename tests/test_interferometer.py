@@ -19,9 +19,10 @@ from curlicue import (
     main_lobe_halfwidth,
     min_pixels,
     path_length,
+    plan_single_number,
     simulate,
 )
-from curlicue.interferometer import _GRID_BLOCK
+from curlicue.interferometer import _GRID_BLOCK, _PURPOSE_DETECTOR, _PURPOSE_MIRROR, _stream
 from conftest import DEMO_WINDOW, DEMO_X_NM
 
 
@@ -116,6 +117,79 @@ def test_simulate_holds_its_samples_and_one_copy_at_peak(noise):
     finally:
         tracemalloc.stop()
     assert peak <= 2.25 * ig.samples.nbytes, peak / ig.samples.nbytes
+
+
+def _reference_simulate(config, window, noise=None):
+    """simulate's samples with one exponential per arm at every pixel, over the whole grid: the reference."""
+    noise = noise or NoiseModel(mirror_sigma_nm=0.0)
+    arms = config.sum_spec.path_count
+    weights = noise.arm_weights or [1.0 / arms] * arms
+    deltas = [0.0] * arms
+    if noise.mirror_sigma_nm > 0:
+        deltas = [
+            float(_stream(noise.seed, _PURPOSE_MIRROR, m).normal(0.0, noise.mirror_sigma_nm))
+            for m in range(arms)
+        ]
+    lam = window.pixel_centers()
+    ratio = config.displacement_unit_nm / lam
+    tau = ratio - np.round(ratio)
+    acc = np.zeros(lam.shape, dtype=np.complex128)
+    for m, w, delta in zip(range(arms), weights, deltas):
+        v = float(m**config.sum_spec.order) * tau + delta / lam
+        u = v - np.round(v)
+        acc += w * np.exp((2j * math.pi) * u)
+    values = acc.real**2 + acc.imag**2
+    if noise.detector_sigma > 0:
+        values += _stream(noise.seed, _PURPOSE_DETECTOR, 0).normal(0.0, noise.detector_sigma, size=len(lam))
+    return np.column_stack([lam, np.clip(values, 0.0, 1.0 + 5.0 * noise.detector_sigma)])
+
+
+def _assert_same_samples(config, window, noise=None):
+    want = _reference_simulate(config, window, noise)
+    got = simulate(config, window, noise, allow_undersampled=True)
+    assert got.samples.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [1100, 2000, 4430, 9409, 9700])
+def test_kernel_matches_the_reference_on_planned_runs(n):
+    lamp = SpectralWindow(400.0, 800.0)
+    for run in plan_single_number(n, lamp).runs:
+        config = InterferometerConfig(run.x_nm, SumSpec(3, 2))
+        _assert_same_samples(config, SpectralWindow(400.0, 800.0, min_pixels(config, lamp)))
+
+
+@pytest.mark.parametrize("mirror_sigma", [0.0, 10.0, 50.0, 200.0])
+@pytest.mark.parametrize("detector_sigma", [0.0, 0.02])
+def test_kernel_matches_the_reference_under_noise(demo_config, demo_window, mirror_sigma, detector_sigma):
+    for seed in range(3):
+        _assert_same_samples(demo_config, demo_window, NoiseModel(mirror_sigma, None, detector_sigma, seed))
+
+
+@pytest.mark.parametrize("weights", [(0.5, 0.25, 0.25), (0.0, 0.5, 0.5), (0.8, 0.1, 0.1)])
+@pytest.mark.parametrize("mirror_sigma", [0.0, 10.0])
+def test_kernel_matches_the_reference_with_unequal_weights(demo_config, demo_window, weights, mirror_sigma):
+    _assert_same_samples(demo_config, demo_window, NoiseModel(mirror_sigma, weights, 0.0, seed=4))
+
+
+@pytest.mark.parametrize("paths", [2, 4, 5])
+@pytest.mark.parametrize("mirror_sigma", [0.0, 10.0])
+def test_kernel_matches_the_reference_for_other_sums(paths, mirror_sigma):
+    config = InterferometerConfig(DEMO_X_NM, SumSpec(paths, 3))
+    _assert_same_samples(config, SpectralWindow(*DEMO_WINDOW, 4096), NoiseModel(mirror_sigma, seed=1))
+
+
+def test_kernel_matches_the_reference_with_a_reference_length(demo_spec, demo_window):
+    config = InterferometerConfig(DEMO_X_NM, demo_spec, reference_length_nm=123.456)
+    _assert_same_samples(config, demo_window)
+    _assert_same_samples(config, demo_window, NoiseModel(10.0, seed=2))
+
+
+@pytest.mark.parametrize("pixels", [8191, 8192, 8193])
+def test_kernel_matches_the_reference_across_a_block_edge(demo_config, pixels):
+    assert abs(pixels - _GRID_BLOCK) <= 1
+    window = SpectralWindow(*DEMO_WINDOW, pixels)
+    _assert_same_samples(demo_config, window)
+    _assert_same_samples(demo_config, window, NoiseModel(10.0, (0.5, 0.3, 0.2), 0.02, seed=5))
 
 
 class TestSamplingGuard:

@@ -21,11 +21,21 @@ from curlicue import (
     write_interferogram,
 )
 from curlicue.io import VERSION_LINE
+from conftest import DEMO_X_NM
 
 
 class TestRoundTrip:
     def test_simulated_demo(self, demo_interferogram):
         assert loads_interferogram(dumps_interferogram(demo_interferogram)) == demo_interferogram
+        # x is stored as a float: a numpy.float64 would be written as np.float64(...), which the
+        # reader refuses, and an int as 523427, which reads back as 523427.0 and is written again
+        # differently
+        for x_nm in (np.float64(DEMO_X_NM), 523427):
+            ig = Interferogram(x_nm, demo_interferogram.sum_spec, demo_interferogram.samples)
+            assert type(ig.displacement_unit_nm) is float
+            text = dumps_interferogram(ig)
+            assert loads_interferogram(text) == ig
+            assert dumps_interferogram(loads_interferogram(text)) == text
 
     def test_file_round_trip(self, demo_interferogram, tmp_path):
         path = tmp_path / "demo.csv"
