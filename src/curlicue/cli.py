@@ -42,12 +42,23 @@ _CANDIDATES = "@candidates"
 
 
 def _candidates_json(candidates, pad: str = "") -> str:
-    """The candidate list as json.dumps(..., indent=2), its lines set one level deeper than pad."""
-    payload = [
-        {"lambda_peak": c.lambda_peak_nm, "intensity": c.intensity_peak, "q": c.q, "residual": c.residual}
+    """The candidate list as json.dumps(..., indent=2), its lines set one level deeper than pad.
+
+    One template per candidate; floats are written as json writes them, repr() for finite ones
+    and NaN, Infinity and -Infinity for the rest.
+    """
+    if not candidates:
+        return "[]"
+    nl, num = "\n  " + pad, float.__repr__
+    text = ("," + nl).join([
+        f'  {{{nl}    "lambda_peak": {num(c.lambda_peak_nm)},{nl}    "intensity": {num(c.intensity_peak)},'
+        f'{nl}    "q": {int.__repr__(c.q)},{nl}    "residual": {num(c.residual)}{nl}  }}'
         for c in candidates
-    ]
-    return json.dumps(payload, indent=2).replace("\n", "\n  " + pad)
+    ])
+    # every value follows ": ", and no finite float's or int's repr starts with "nan" or "inf"
+    for py, js in ((": nan", ": NaN"), (": inf", ": Infinity"), (": -inf", ": -Infinity")):
+        text = text.replace(py, js)
+    return "[" + nl + text + nl + "]"
 
 
 def _report_json(report: FactorReport, candidates_json: str, pad: str = "") -> str:

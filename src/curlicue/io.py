@@ -6,9 +6,9 @@ Layout::
     # x_nm=<float>
     # M=<int>
     # d=<int>
-    # r_nm=<...>          further "# key=value" lines are provenance and are
-    # seed=<...>          preserved verbatim through parse/serialize cycles,
-    ...                   including keys this package does not know about
+    # r_nm=<...>          further "# key=value" lines are provenance, read with
+    # seed=<...>          key and value stripped and written back as they were
+    ...                   read, including keys this package does not know about
     lambda_nm,intensity
     <float>,<float>
     ...
@@ -36,8 +36,24 @@ _CORE_KEYS = ("x_nm", "M", "d")
 _ORDERED_PROVENANCE = ("r_nm", "seed", "mirror_sigma_nm", "detector_sigma")
 
 
+def _check_provenance(provenance: dict) -> None:
+    """Refuse, naming its key, any entry that loads_interferogram would not give back as it is."""
+    for key, value in provenance.items():
+        if not (isinstance(key, str) and isinstance(value, str)):
+            fault = "keys and values must be str"
+        elif not key or "=" in key or key in _CORE_KEYS:
+            fault = f"a key must be non-empty, hold no '=' and not be one of {_CORE_KEYS}"
+        elif any(s != s.strip() or "".join(s.splitlines()) != s for s in (key, value)):
+            fault = "a key or value must hold no line break and no surrounding whitespace"
+        else:
+            continue
+        raise ValueError(f"provenance key {key!r}: {fault}")
+
+
 def dumps_interferogram(ig: Interferogram) -> str:
-    """Serialize to the v1 text format."""
+    """Serialize to the v1 text format; raises ValueError on provenance the reader cannot give
+    back (see _check_provenance)."""
+    _check_provenance(ig.provenance)
     lines = [VERSION_LINE]
     lines.append(f"# x_nm={ig.displacement_unit_nm!r}")
     lines.append(f"# M={ig.sum_spec.path_count}")

@@ -12,7 +12,7 @@ import pytest
 
 import curlicue.cli
 import curlicue.oracle
-from curlicue import divisors_in_window, trial_division
+from curlicue import PeakCandidate, divisors_in_window, trial_division
 from curlicue.cli import build_parser, main
 
 DEMO_FLAGS = [
@@ -517,6 +517,31 @@ def test_report_json_is_indent_two(demo_file, tmp_path, capsys, argv, code):
     assert out == json.dumps(payload, indent=2) + "\n"
     reports = payload if argv[0] == "scan" else [payload]
     assert all(r["candidates"] for r in reports) == (path == demo_file)
+
+
+_CANDIDATE_LISTS = {
+    "none": [],
+    "one": [PeakCandidate(461.1234567890123, 0.987654321, 1131, -0.0123)],
+    "many": [PeakCandidate(400.0 + k / 7, k / 3, 1000 + k, (k - 20) / 41) for k in range(40)],
+    "edges": [
+        PeakCandidate(1e-05, 0.0, 2**63, -0.0),
+        PeakCandidate(123456789.0, 1e22, 2**64 + 1, 1e-05),
+        PeakCandidate(float("nan"), float("inf"), 3, float("-inf")),
+        PeakCandidate(5e-324, 1.7976931348623157e308, 10**30, 0.5),
+    ],
+}
+
+
+@pytest.mark.parametrize("pad", ["", "  "])
+@pytest.mark.parametrize("kind", list(_CANDIDATE_LISTS))
+def test_candidates_json_is_json_dumps(kind, pad):
+    candidates = tuple(_CANDIDATE_LISTS[kind])
+    payload = [
+        {"lambda_peak": c.lambda_peak_nm, "intensity": c.intensity_peak, "q": c.q, "residual": c.residual}
+        for c in candidates
+    ]
+    want = json.dumps(payload, indent=2).replace("\n", "\n  " + pad)
+    assert curlicue.cli._candidates_json(candidates, pad) == want
 
 
 # every subcommand's flags as the parser defined them before the shared flags moved into

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 
 import numpy as np
 import pytest
@@ -131,6 +132,30 @@ class TestFormat:
         assert "# operator=alice" in out
         assert "# lab_station=7" in out
         assert loads_interferogram(out) == ig
+
+    @pytest.mark.parametrize(
+        "provenance",
+        [
+            {"M": "5"},  # would read back as SumSpec(5, 2)
+            {"x_nm": "7"},  # would read back as x = 7.0 nm
+            {"k=v": "1"},  # would read back as {"k": "v=1"}
+            {"a": " pad "},  # would read back as "pad"
+            {" a": "b"},  # would read back as key "a"
+            {"a": 1},  # would read back as "1"
+            {"a": "x\ny"},  # would write a file the reader refuses
+            {"a": "x\u2028y"},
+        ],
+    )
+    def test_writer_refuses_provenance_it_cannot_give_back(self, provenance):
+        ig = Interferogram(1000.0, SumSpec(2, 2), [[400.0, 0.25], [401.0, 0.5]], provenance)
+        (key,) = provenance
+        with pytest.raises(ValueError, match=re.escape(repr(key))):
+            dumps_interferogram(ig)
+
+    def test_provenance_with_inner_blanks_and_signs_round_trips(self):
+        provenance = {"note": "a = b # c", "lab station": "", "#": "="}
+        ig = Interferogram(1000.0, SumSpec(2, 2), [[400.0, 0.25], [401.0, 0.5]], provenance)
+        assert loads_interferogram(dumps_interferogram(ig)) == ig
 
     def test_values_survive_at_full_precision(self, demo_interferogram):
         parsed = loads_interferogram(dumps_interferogram(demo_interferogram))
