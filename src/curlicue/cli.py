@@ -37,10 +37,6 @@ _EXIT_CODES = (
 )
 
 
-# stands in for the candidate list, encoded once per list; no other string value is in a report
-_CANDIDATES = "@candidates"
-
-
 def _candidates_json(candidates, pad: str = "") -> str:
     """The candidate list as json.dumps(..., indent=2), its lines set one level deeper than pad.
 
@@ -62,20 +58,20 @@ def _candidates_json(candidates, pad: str = "") -> str:
 
 
 def _report_json(report: FactorReport, candidates_json: str, pad: str = "") -> str:
-    """The report as json.dumps(payload, indent=2) with pad after every newline, and with
-    candidates_json, from _candidates_json(report.candidates, pad), in place of the placeholder."""
-    payload = {
-        "n": report.n,
-        "q_window": [report.q_window[0], report.q_window[1]],
-        "factors": [[q, c] for q, c in report.factors],
-        "candidates": _CANDIDATES,
-        "params": {
-            "threshold": report.diagnostics["threshold"],
-            "epsilon": report.diagnostics["epsilon"],
-        },
-    }
-    text = json.dumps(payload, indent=2).replace("\n", "\n" + pad)
-    return text.replace(f'"{_CANDIDATES}"', candidates_json)
+    """The report as json.dumps(..., indent=2) with pad after every newline, from one template that
+    writes numbers as _candidates_json does; candidates_json is _candidates_json(report.candidates, pad)."""
+    nl, num, (lo, hi) = "\n" + pad, int.__repr__, report.q_window
+    params = report.diagnostics["threshold"], report.diagnostics["epsilon"]  # finite ints or floats
+    threshold, epsilon = [(num if isinstance(v, int) else float.__repr__)(v) for v in params]
+    factors = f",{nl}    ".join([f"[{nl}      {num(q)},{nl}      {num(c)}{nl}    ]" for q, c in report.factors])
+    factors = f"[{nl}    {factors}{nl}  ]" if factors else "[]"
+    return (
+        f'{{{nl}  "n": {num(report.n)},'
+        f'{nl}  "q_window": [{nl}    {num(lo)},{nl}    {num(hi)}{nl}  ],'
+        f'{nl}  "factors": {factors},'
+        f'{nl}  "candidates": {candidates_json},'
+        f'{nl}  "params": {{{nl}    "threshold": {threshold},{nl}    "epsilon": {epsilon}{nl}  }}{nl}}}'
+    )
 
 
 def _exit_code(reports: Sequence[FactorReport]) -> int:

@@ -107,10 +107,12 @@ def loads_interferogram(text: str) -> Interferogram:
     i = 1
     while i < len(lines) and lines[i].lstrip().startswith("#"):
         body = lines[i].lstrip()[1:].strip()
-        key, sep, value = body.partition("=")
-        if not sep or not key.strip():
+        key, sep, value = (part.strip() for part in body.partition("="))
+        if not sep or not key:
             raise FileFormatError(f"malformed header line {i + 1}: {lines[i]!r}")
-        header[key.strip()] = value.strip()
+        if key in header:
+            raise FileFormatError(f"header line {i + 1} repeats key {key!r}")
+        header[key] = value
         i += 1
     if i >= len(lines) or lines[i].strip() != _COLUMNS:
         raise FileFormatError(f"expected column header {_COLUMNS!r} after the header block")

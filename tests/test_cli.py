@@ -8,11 +8,12 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import curlicue.cli
 import curlicue.oracle
-from curlicue import PeakCandidate, divisors_in_window, trial_division
+from curlicue import FactorReport, PeakCandidate, divisors_in_window, trial_division
 from curlicue.cli import build_parser, main
 
 DEMO_FLAGS = [
@@ -209,6 +210,13 @@ class TestFactor:
         bad = tmp_path / "bad.csv"
         bad.write_text("not an interferogram\n")
         assert main(["factor", "--interferogram", str(bad), "--n", "1308567"]) == 2
+
+    def test_repeated_header_key_is_exit_two(self, demo_file, tmp_path, capsys):
+        # the later x_nm is neither kept nor blamed on the geometry
+        edited = tmp_path / "repeated.csv"
+        edited.write_text(demo_file.read_text().replace("# x_nm=523426.8\n", "# x_nm=523426.8\n# x_nm=1000\n"))
+        assert main(["factor", "--interferogram", str(edited), "--n", "1308567"]) == 2
+        assert capsys.readouterr().err == "error: header line 3 repeats key 'x_nm'\n"
 
     def test_precision_ceiling_is_exit_four(self, tmp_path):
         huge = tmp_path / "huge.csv"
@@ -532,16 +540,47 @@ _CANDIDATE_LISTS = {
 }
 
 
+# the rest of a report, around the candidate lists above: kind -> the FactorReport fields that
+# differ from the demo's, one factor pair of 1308567, threshold 0.7 and epsilon 0.05
+_REPORT_FIELDS = {
+    "no-factors": {"n": 1308568, "factors": ()},
+    "many-factors": {"n": 720720, "window": (2, 9), "factors": tuple((q, 720720 // q) for q in range(2, 10))},
+    "no-candidates": {"candidates": "none"},
+    "n-2**63": {"n": 2**63, "window": (2**31, 2**32), "factors": ((2**31, 2**32),)},
+    "n-above-2**64": {"n": 3 * 2**70, "window": (2**63, 2**64), "factors": ((3 * 2**62, 2**8),)},
+    "threshold-1e-05": {"threshold": 1e-05},
+    "threshold--0.0-epsilon-0.0": {"threshold": -0.0, "epsilon": 0.0},
+    "numpy-threshold": {"threshold": np.float64(0.7), "epsilon": np.float64(1e-05)},
+    "int-params": {"threshold": 1, "epsilon": 0},
+}
+
+
 @pytest.mark.parametrize("pad", ["", "  "])
-@pytest.mark.parametrize("kind", list(_CANDIDATE_LISTS))
+@pytest.mark.parametrize("kind", list(_CANDIDATE_LISTS) + list(_REPORT_FIELDS))
 def test_candidates_json_is_json_dumps(kind, pad):
-    candidates = tuple(_CANDIDATE_LISTS[kind])
+    fields = {
+        "n": 1308567, "window": (1130, 1136), "factors": ((1131, 1157),), "threshold": 0.7, "epsilon": 0.05,
+        "candidates": kind if kind in _CANDIDATE_LISTS else "one", **_REPORT_FIELDS.get(kind, {}),
+    }
+    candidates = tuple(_CANDIDATE_LISTS[fields["candidates"]])
     payload = [
         {"lambda_peak": c.lambda_peak_nm, "intensity": c.intensity_peak, "q": c.q, "residual": c.residual}
         for c in candidates
     ]
     want = json.dumps(payload, indent=2).replace("\n", "\n  " + pad)
     assert curlicue.cli._candidates_json(candidates, pad) == want
+    # and the whole report around that list, as _cmd_factor (pad "") and _cmd_scan ("  ") write it
+    params = {"threshold": fields["threshold"], "epsilon": fields["epsilon"]}
+    report = FactorReport(fields["n"], fields["window"], candidates, fields["factors"], {**params, "counts": {}})
+    whole = {
+        "n": report.n,
+        "q_window": list(report.q_window),
+        "factors": [list(pair) for pair in report.factors],
+        "candidates": payload,
+        "params": params,
+    }
+    want = json.dumps(whole, indent=2).replace("\n", "\n" + pad)
+    assert curlicue.cli._report_json(report, curlicue.cli._candidates_json(candidates, pad), pad) == want
 
 
 # every subcommand's flags as the parser defined them before the shared flags moved into

@@ -245,6 +245,22 @@ class TestParseErrors:
         with pytest.raises(FileFormatError):
             loads_interferogram(text)
 
+    @pytest.mark.parametrize(
+        "lines, lineno, key",
+        [
+            (["# x_nm=10", "# x_nm=1000", "# M=2", "# d=2"], 3, "x_nm"),
+            (["# x_nm = 1", "# M=2", "# d=2", "#x_nm=2"], 5, "x_nm"),
+            (["# x_nm=10", "# M=2", "# d=2", "# seed=0", "# r_nm=1", "# seed=0"], 7, "seed"),
+            (["# x_nm=10", "# M=2", "# d=2", "# note=", "  #  note  =  b"], 6, "note"),
+        ],
+        ids=["core", "stripped", "provenance", "empty-value"],
+    )
+    def test_repeated_header_key(self, lines, lineno, key):
+        # a second value for a key is refused, not kept in place of the first
+        text = "\n".join([VERSION_LINE, *lines, "lambda_nm,intensity", "400.0,0.1", "401.0,0.1", ""])
+        with pytest.raises(FileFormatError, match=rf"^header line {lineno} repeats key '{key}'$"):
+            loads_interferogram(text)
+
     def test_invalid_utf8_file(self, tmp_path):
         path = tmp_path / "latin1.csv"
         text = f"{VERSION_LINE}\n# x_nm=10\n# M=2\n# d=2\n# operator=J\u00e9r\u00f4me\nlambda_nm,intensity\n"
@@ -307,7 +323,8 @@ def test_fuzzed_files_parse_or_raise_file_format_error():
 def _reference_loads(text: str) -> Interferogram:
     """The v1 parser before numpy's C reader took over the data rows: each row's commas counted
     in Python, the rows joined and split again, every cell and header value read by float() or
-    int(). Kept to pin the C reader's behaviour against it."""
+    int(). Kept to pin the C reader's behaviour against it; it shares the header rules, a
+    repeated key included."""
     lines = text.splitlines()
     if not lines or lines[0].strip() != VERSION_LINE:
         raise FileFormatError("version")
@@ -315,7 +332,7 @@ def _reference_loads(text: str) -> Interferogram:
     i = 1
     while i < len(lines) and lines[i].lstrip().startswith("#"):
         key, sep, value = lines[i].lstrip()[1:].strip().partition("=")
-        if not sep or not key.strip():
+        if not sep or not key.strip() or key.strip() in header:
             raise FileFormatError("header line")
         header[key.strip()] = value.strip()
         i += 1
