@@ -10,6 +10,7 @@ against the detected ratios by exact division.
 from __future__ import annotations
 
 import bisect
+import gc
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -178,6 +179,11 @@ def scan_targets(
     candidates are immutable tuples shared by every report.  The q window is
     `q_window` over the first and last pixel, so a span that holds no integer
     ratio raises EmptyWindow instead of reporting no factors.
+
+    The cyclic garbage collector is paused while the reports are built, after
+    every check, the detection and the sieve, and is enabled again afterwards
+    if it was enabled on entry.  The pause is process-wide: another thread
+    that disables the collector during the build finds it enabled again.
     """
     target_list = list(targets)
     if set(map(type, target_list)) != {int} or min(target_list) < 4:
@@ -193,26 +199,34 @@ def scan_targets(
     gated = [p for p in in_window if abs(p.residual) <= epsilon]
     n_peaks, n_in_window, n_gated = len(peaks), len(in_window), len(gated)
     pairs = _divisor_pairs(target_list, [p.q for p in reversed(gated)])  # distinct q, ascending
-    # each report gets dicts of its own: a caller may mutate one report's diagnostics
-    return [
-        FactorReport(
-            n,
-            window,
-            in_window,
-            factors,
-            {
-                "threshold": threshold,
-                "epsilon": epsilon,
-                "counts": {
-                    "peaks": n_peaks,
-                    "in_window": n_in_window,
-                    "integer_gated": n_gated,
-                    "factors": len(factors),
+    # each report gets dicts of its own: a caller may mutate one report's diagnostics.  Three
+    # new containers per target would trigger collections that walk the reports built so far
+    # again and again; the comprehension runs no caller code and makes no cycle
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return [
+            FactorReport(
+                n,
+                window,
+                in_window,
+                factors,
+                {
+                    "threshold": threshold,
+                    "epsilon": epsilon,
+                    "counts": {
+                        "peaks": n_peaks,
+                        "in_window": n_in_window,
+                        "integer_gated": n_gated,
+                        "factors": len(factors),
+                    },
                 },
-            },
-        )
-        for n, factors in zip(target_list, pairs)
-    ]
+            )
+            for n, factors in zip(target_list, pairs)
+        ]
+    finally:
+        if enabled:
+            gc.enable()
 
 
 _STEP_BLOCK = 8192  # sieve steps per block: no temporary outgrows 64 kB

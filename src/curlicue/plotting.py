@@ -9,7 +9,7 @@ input: identical interferogram and targets give identical bytes.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -34,11 +34,13 @@ def _dev(value: float) -> str:
     return f"{value:.2f}"
 
 
-def _polyline_points(xs: np.ndarray, ys: np.ndarray) -> str:
-    """" ".join(f"{x:.2f},{y:.2f}") over the points, for coordinates in [0, 10**3).
+def _polyline_points(xs: np.ndarray, ys: np.ndarray, x_dev: Callable, y_dev: Callable) -> str:
+    """" ".join(f"{x:.2f},{y:.2f}") over the points (x_dev(xs), y_dev(ys)), for device coordinates
+    in [0, 10**3).
 
-    Each block of _POINT_BLOCK points is written into a uint8 matrix, one row of 16 bytes per
-    point, "wwww.ff,wwww.ff ", from table codes; the whole parts' leading zeros are masked off.
+    Each block of _POINT_BLOCK points is mapped to device coordinates and written into a uint8
+    matrix, one row of 16 bytes per point, "wwww.ff,wwww.ff ", from table codes; the whole parts'
+    leading zeros are masked off.
     For v < 10**3, fl(100 v) is within 7.3e-12 of 100 v, so np.rint rounds it to the cents of
     '.2f' except where 100 v lies that close to a half: the few values within 1e-6 of one, exact
     binary ties such as 70.125 among them, take their cents from format().
@@ -57,8 +59,8 @@ def _polyline_points(xs: np.ndarray, ys: np.ndarray) -> str:
     blocks = []
     for start in range(0, len(xs), _POINT_BLOCK):
         n = min(_POINT_BLOCK, len(xs) - start)
-        for col, column, sep in ((0, xs, ","), (8, ys, " ")):
-            values = column[start : start + n]
+        for col, column, dev, sep in ((0, xs, x_dev, ","), (8, ys, y_dev, " ")):
+            values = dev(column[start : start + n])
             scaled = values * 100.0
             cents = np.rint(scaled)
             for i in np.flatnonzero(np.abs(scaled - np.floor(scaled) - 0.5) < 1e-6):
@@ -96,7 +98,7 @@ def interferogram_svg(ig: Interferogram, targets: Sequence[int] = ()) -> str:
     height = _PLOT_H + top + bottom
     plot_w = _WIDTH - _LEFT - _RIGHT
 
-    def x_dev(lam):  # a float or a whole column
+    def x_dev(lam):  # a float or a block of the column
         return _LEFT + (lam - lam0) / (lam1 - lam0) * plot_w
 
     def y_dev(inten):
@@ -133,10 +135,9 @@ def interferogram_svg(ig: Interferogram, targets: Sequence[int] = ()) -> str:
 
     # data series: x lies in [70, 936] and y in [top, top + 400], as an Interferogram's
     # wavelengths are finite and ascending and its intensities finite and >= 0
-    points = _polyline_points(x_dev(wavelengths), y_dev(intensities))
-    out.append(
-        f'<polyline points="{points}" fill="none" stroke="{_LINE_COLOR}" stroke-width="1"/>'
-    )
+    # the points are the bulk of the chart: the final join is the one copy of their text
+    points = _polyline_points(wavelengths, intensities, x_dev, y_dev)
+    head, out = out, []
 
     # rescaled integer-ratio axes
     x_nm = ig.displacement_unit_nm
@@ -170,4 +171,5 @@ def interferogram_svg(ig: Interferogram, targets: Sequence[int] = ()) -> str:
         f"x = {x_nm:g} nm, M = {spec.path_count}, d = {spec.order}</text>"
     )
     out.append("</svg>")
-    return "\n".join(out) + "\n"
+    polyline = ('<polyline points="', points, f'" fill="none" stroke="{_LINE_COLOR}" stroke-width="1"/>')
+    return "".join(["\n".join(head), "\n", *polyline, "\n", "\n".join(out), "\n"])

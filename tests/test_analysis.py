@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import gc
 import hashlib
 import inspect
 import pickle
@@ -561,6 +562,44 @@ class TestScanTargets:
         reports[1].diagnostics["counts"]["factors"] = 99
         reports[2].diagnostics.clear()
         assert reports[3:] == scan_targets(demo_interferogram, targets)[3:]
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_leaves_the_collector_as_it_found_it(self, demo_interferogram, enabled):
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            scan_targets(demo_interferogram, [1308567, 1306349])
+            assert gc.isenabled() == enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+
+    def test_collector_stays_enabled_after_a_refusal(self, demo_interferogram):
+        assert gc.isenabled()
+        ig = make_interferogram(1000.0, [(400.0 + j, 0.1) for j in range(64)])
+        with pytest.raises(EmptyWindow):
+            scan_targets(ig, [100])
+        assert gc.isenabled()
+        with pytest.raises(ValueError):
+            scan_targets(demo_interferogram, [1308567, 3])
+        assert gc.isenabled()
+
+    def test_reports_are_built_with_the_collector_paused(self, monkeypatch, demo_interferogram):
+        states = []
+
+        def record(*fields):
+            states.append(gc.isenabled())
+            if len(states) == 3:
+                raise MemoryError
+            return FactorReport(*fields)
+
+        monkeypatch.setattr(curlicue.analysis, "FactorReport", record)
+        assert [r.factors for r in scan_targets(demo_interferogram, [1308567, 1306349])] == [
+            ((1131, 1157),), ((1133, 1153),)
+        ]
+        assert states == [False, False] and gc.isenabled()
+        with pytest.raises(MemoryError):  # a failed build enables it again too
+            scan_targets(demo_interferogram, [1308567])
+        assert states == [False, False, False] and gc.isenabled()
 
     def test_ratio_one_gives_no_pair(self):
         # at x = 600 nm over 400-800 nm the only dominant maximum is q = 1, which divides

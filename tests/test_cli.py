@@ -13,7 +13,7 @@ import pytest
 
 import curlicue.cli
 import curlicue.oracle
-from curlicue import FactorReport, PeakCandidate, divisors_in_window, trial_division
+from curlicue import FactorReport, PeakCandidate, divisors_in_window, read_interferogram, scan_targets, trial_division
 from curlicue.cli import build_parser, main
 
 DEMO_FLAGS = [
@@ -281,6 +281,97 @@ class TestScan:
             f"error: --targets-file {listing} must hold integers separated by commas or spaces; "
             "got 'word'\n"
         )
+
+
+def _scan_json(reports) -> str:
+    # what one scan_targets call over every target gives, as json.dumps(..., indent=2)
+    payload = [
+        {
+            "n": r.n,
+            "q_window": list(r.q_window),
+            "factors": [list(pair) for pair in r.factors],
+            "candidates": [
+                {"lambda_peak": c.lambda_peak_nm, "intensity": c.intensity_peak, "q": c.q, "residual": c.residual}
+                for c in r.candidates
+            ],
+            "params": {"threshold": r.diagnostics["threshold"], "epsilon": r.diagnostics["epsilon"]},
+        }
+        for r in reports
+    ]
+    return json.dumps(payload, indent=2) + "\n"
+
+
+# two targets with a pair among five without; chunks of three put the pairs in the last chunk
+SCAN_MISSES = [1308568, 1308571, 1299709, 1308569, 1308573]
+SCAN_PAIRS = [1308567, 1131 * 1000]
+
+
+class TestScanChunks:
+    @pytest.mark.parametrize("batch", [1, 2, 256])
+    @pytest.mark.parametrize("count", [1, 3, 4, 6, 7])
+    def test_chunks_write_one_scan(self, demo_file, monkeypatch, capsys, count, batch):
+        monkeypatch.setattr(curlicue.cli, "_SCAN_CHUNK", 3)
+        monkeypatch.setattr(curlicue.cli, "_WRITE_BATCH", batch)
+        targets = (SCAN_MISSES + SCAN_PAIRS)[-count:]
+        argv = ["scan", "--interferogram", str(demo_file), "--targets", ",".join(map(str, targets))]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == _scan_json(scan_targets(read_interferogram(demo_file), targets))
+
+    @pytest.mark.parametrize(
+        "first, last, code",
+        [(SCAN_MISSES[0], SCAN_PAIRS[0], 0), (SCAN_PAIRS[0], SCAN_MISSES[0], 0), (SCAN_MISSES[0], SCAN_MISSES[0], 1)],
+        ids=["last-chunk-pair", "first-chunk-pair", "none"],
+    )
+    def test_exit_code_reads_every_chunk(self, demo_file, monkeypatch, capsys, first, last, code):
+        monkeypatch.setattr(curlicue.cli, "_SCAN_CHUNK", 3)
+        targets = [first] + SCAN_MISSES + [last]  # the last chunk holds one target
+        assert not any(r.factors for r in scan_targets(read_interferogram(demo_file), SCAN_MISSES))
+        argv = ["scan", "--interferogram", str(demo_file), "--targets", ",".join(map(str, targets))]
+        assert main(argv) == code
+        assert capsys.readouterr().out == _scan_json(scan_targets(read_interferogram(demo_file), targets))
+
+    def test_bad_target_in_the_last_chunk_writes_nothing(self, demo_file, monkeypatch, capsys):
+        monkeypatch.setattr(curlicue.cli, "_SCAN_CHUNK", 3)
+        targets = SCAN_PAIRS + SCAN_MISSES + [3]
+        argv = ["scan", "--interferogram", str(demo_file), "--targets", ",".join(map(str, targets))]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "error: target must be an integer >= 4, got 3\n")
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 7, 1 << 20])
+    def test_targets_file_in_tiny_blocks(self, demo_file, tmp_path, monkeypatch, capsys, block):
+        # tokens cross block ends at every place: inside a number, at a comma, in a run of blanks
+        listing = tmp_path / "targets.txt"
+        listing.write_text("1308567,\n 1306349\t1308568,,  1131000\n\n1299709")
+        monkeypatch.setattr(curlicue.cli, "_TARGETS_BLOCK", block)
+        assert main(["scan", "--interferogram", str(demo_file), "--targets-file", str(listing)]) == 0
+        targets = [1308567, 1306349, 1308568, 1131000, 1299709]
+        assert capsys.readouterr().out == _scan_json(scan_targets(read_interferogram(demo_file), targets))
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 5])
+    def test_bad_token_across_blocks_is_named_whole(self, demo_file, tmp_path, monkeypatch, capsys, block):
+        listing = tmp_path / "targets.txt"
+        listing.write_text("1308567\n13063x9 word\n1306349")
+        monkeypatch.setattr(curlicue.cli, "_TARGETS_BLOCK", block)
+        assert main(["scan", "--interferogram", str(demo_file), "--targets-file", str(listing)]) == 2
+        assert capsys.readouterr() == (
+            "",
+            f"error: --targets-file {listing} must hold integers separated by commas or spaces; got '13063x9'\n",
+        )
+
+    def test_targets_file_is_read_in_blocks(self, demo_file, tmp_path, monkeypatch, capsys):
+        listing = tmp_path / "targets.txt"
+        listing.write_text("1308567 " * 100)
+        monkeypatch.setattr(curlicue.cli, "_TARGETS_BLOCK", 64)
+        parsed = []
+        parse = curlicue.cli._parse_targets
+
+        def spy(blocks, source):
+            return parse((parsed.append(block) or block for block in blocks), source)
+
+        monkeypatch.setattr(curlicue.cli, "_parse_targets", spy)
+        assert main(["scan", "--interferogram", str(demo_file), "--targets-file", str(listing)]) == 0
+        assert [len(block) for block in parsed] == [64] * 12 + [32]
+        capsys.readouterr()
 
 
 class TestPlan:

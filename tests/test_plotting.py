@@ -62,6 +62,10 @@ def _reference_points(xs, ys):
     return " ".join(map("{:.2f},{:.2f}".format, xs.tolist(), ys.tolist()))
 
 
+def _same(values):  # coordinates given in device units already
+    return values
+
+
 def _tricky_values():
     k = np.arange(1000.0)
     ties = np.concatenate([k + 0.125, k + 0.375, k + 0.625, k + 0.875])  # exact binary ties
@@ -112,7 +116,7 @@ class TestPolylinePoints:
 
     def test_binary_ties_round_half_even(self):
         # 70.125 and 0.375 are exact binary ties; 999.995 is stored just above its decimal tie
-        points = plotting._polyline_points(np.array([70.125, 0.375]), np.array([0.0, 999.995]))
+        points = plotting._polyline_points(np.array([70.125, 0.375]), np.array([0.0, 999.995]), _same, _same)
         assert points == "70.12,0.00 0.38,1000.00"
 
     @pytest.mark.parametrize("block", [1, 7, 8192])
@@ -122,7 +126,7 @@ class TestPolylinePoints:
         if block == 1:  # one numpy pass per point: a slice that still holds every kind of value
             xs, ys = xs[::5], ys[::5]
         monkeypatch.setattr(plotting, "_POINT_BLOCK", block)
-        assert plotting._polyline_points(xs, ys) == _reference_points(xs, ys)
+        assert plotting._polyline_points(xs, ys, _same, _same) == _reference_points(xs, ys)
 
     def test_memory_peak_is_bounded_by_the_text(self, cli_session_spectrum):
         interferogram_svg(cli_session_spectrum, [9401, 9409])
@@ -132,5 +136,6 @@ class TestPolylinePoints:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the per-point loop peaked at 10.8x the text, in its two lists of Python floats
-        assert peak <= 7 * len(svg)
+        # the per-point loop peaked at 10.8x the text, in its two lists of Python floats; the
+        # block texts, their join and the one final join of the chart measure 2.24x
+        assert peak <= 2.3 * len(svg)
