@@ -1,11 +1,11 @@
 """Time `curlicue scan` on a million seeded targets, end to end and per stage.
 
-    python scripts/scan_scale.py [--src DIR ...] [--rounds R] [--targets T] [--json FILE]
+    python scripts/scan_scale.py [--src DIR ...] [--rounds R] [--json FILE]
 
 The inputs are the README quick-start spectrum (`simulate --x 523426.8
---lambda-min 460.36 --lambda-max 463.24 --pixels 2048 --paths 3`) and T
-targets (default 10**6) drawn by `random.Random(2011).randrange(4, 10**12)`,
-one per line, both written to a temporary directory.
+--lambda-min 460.36 --lambda-max 463.24 --pixels 2048 --paths 3`) and 10**6
+targets drawn by `random.Random(2011).randrange(4, 10**12)`, one per line,
+both written to a temporary directory.
 
 Each round runs, for every `--src` in turn (default: this checkout's `src`;
 give two to compare a parent and a change; odd rounds take them in reverse
@@ -18,10 +18,13 @@ order), two fresh Python processes:
   parsing the targets), `read` (the spectrum file), `scan` (every
   `scan_targets` call), `write` (every `sys.stdout.write`, and the last
   flush) and `encode` (the rest: the report templates and the target check).
-- `library`: one `scan_targets(ig, targets)` call on the parsed targets. It
-  reports that call's time and peak RSS, split into `detect` (`detect_peaks`),
-  `sieve` (`analysis._divisor_pairs`) and `reports` (the rest: building the
-  FactorReports).
+- `library`: one `scan_targets(ig, targets)` call on the parsed targets, then
+  `gc.collect(0)`. It reports their time and peak RSS, split into `detect`
+  (`detect_peaks`), `sieve` (`analysis._divisor_pairs`), `reports` (the rest
+  of the call: building the FactorReports) and `collect`. A call that pauses
+  the collector leaves its reports in the young generation, and the young
+  collection it defers would run at the next allocation; `collect` runs it
+  on the clock, so both sides pay for the collections their call sets off.
 
 Nothing here runs in the test suite. Every figure is printed as one JSON line
 per process, and all of them are written to `--json` when given.
@@ -40,11 +43,12 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+TARGETS = 10**6
 DEMO = ["--x", "523426.8", "--lambda-min", "460.36", "--lambda-max", "463.24", "--pixels", "2048", "--paths", "3"]
 
 # each child prints one JSON line on stderr; the cli child's stdout is the scan's output
 _PRELUDE = r"""
-import json, resource, sys, time
+import gc, json, resource, sys, time
 import curlicue.analysis as analysis
 import curlicue.cli as cli
 import curlicue.io as igio
@@ -95,8 +99,11 @@ analysis.detect_peaks = timed("detect", analysis.detect_peaks)
 analysis._divisor_pairs = timed("sieve", analysis._divisor_pairs)
 start = time.perf_counter()
 reports = analysis.scan_targets(ig, targets)
+called = time.perf_counter()
+gc.collect(0)
 wall = time.perf_counter() - start
-split = {"detect": spans["detect"], "sieve": spans["sieve"], "reports": wall - sum(spans.values())}
+split = {"detect": spans["detect"], "sieve": spans["sieve"], "reports": called - start - sum(spans.values())}
+split["collect"] = wall - (called - start)
 found = sum(1 for r in reports if r.factors)
 print(json.dumps({"wall_s": wall, "peak_rss_mb": rss_mb(), "with_pairs": found, "split_s": split}), file=sys.stderr)
 """
@@ -124,7 +131,6 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", action="append", help="a package source directory (repeatable)")
     parser.add_argument("--rounds", type=int, default=1, help="rounds over every --src, alternating")
-    parser.add_argument("--targets", type=int, default=10**6)
     parser.add_argument("--json", help="also write every record here")
     args = parser.parse_args()
     sources = [str(Path(s).resolve()) for s in args.src or [ROOT / "src"]]
@@ -134,7 +140,7 @@ def main() -> int:
         work = Path(tmp)
         spectrum, listing, out = work / "demo.csv", work / "targets.txt", work / "scan.json"
         rng = random.Random(2011)
-        listing.write_text("".join(f"{rng.randrange(4, 10**12)}\n" for _ in range(args.targets)), encoding="ascii")
+        listing.write_text("".join(f"{rng.randrange(4, 10**12)}\n" for _ in range(TARGETS)), encoding="ascii")
         subprocess.run(
             [sys.executable, "-m", "curlicue", "simulate", *DEMO, "--out", str(spectrum)],
             env={**os.environ, "PYTHONPATH": sources[0]},
@@ -148,7 +154,7 @@ def main() -> int:
                 out.unlink()
                 library = _child(src, _LIBRARY, [str(spectrum), str(listing)], subprocess.DEVNULL)
                 for kind, record in (("cli", cli), ("library", library)):
-                    record = {"round": round_, "src": src, "path": kind, "targets": args.targets, **record}
+                    record = {"round": round_, "src": src, "path": kind, "targets": TARGETS, **record}
                     print(json.dumps(record), flush=True)
                     records.append(record)
     if args.json:

@@ -37,6 +37,9 @@ _EXIT_CODES = (
     (InsufficientBandwidth, EXIT_BANDWIDTH),
 )
 _TARGETS_BLOCK = 1 << 20  # characters of a --targets-file parsed at a time
+# longest target token: int() refuses more than 4,300 digits by default, so no longer token is
+# a target, and carrying one from block to block would copy it again per block
+_TOKEN_MAX = 1 << 20
 _SCAN_CHUNK = 65_536  # scan targets per scan_targets call
 _WRITE_BATCH = 256  # scan reports per write, about 340 kB of text on the demo spectrum
 
@@ -132,7 +135,8 @@ def _parse_targets(blocks: Iterable[str], source: str) -> list[int]:
     """The integers in the text that blocks make up, separated by commas or whitespace.
 
     A token that runs past the end of a block is carried into the next one, so a block may
-    end anywhere; only one block's tokens are held as strings at a time.
+    end anywhere; only one block's tokens are held as strings at a time.  A token that grows
+    past _TOKEN_MAX characters is refused without reading the rest of it.
     """
     targets: list[int] = []
     tail = ""
@@ -140,16 +144,15 @@ def _parse_targets(blocks: Iterable[str], source: str) -> list[int]:
         text = tail + block
         tokens = text.replace(",", " ").split()
         tail = tokens.pop() if tokens and not (text[-1].isspace() or text[-1] == ",") else ""
-        try:
-            targets += map(int, tokens)
-        except ValueError:
-            for tok in tokens:  # find the first bad token, again
-                try:
-                    int(tok)
-                except ValueError:
-                    raise ValueError(
-                        f"{source} must hold integers separated by commas or spaces; got {tok!r}"
-                    ) from None
+        if len(tail) > _TOKEN_MAX:  # named by its start, after any bad token before it
+            tokens.append(tail[:32] + "...")
+        for tok in tokens:
+            try:
+                targets.append(int(tok))
+            except ValueError:
+                raise ValueError(
+                    f"{source} must hold integers separated by commas or spaces; got {tok!r}"
+                ) from None
     return targets
 
 

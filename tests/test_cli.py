@@ -358,6 +358,45 @@ class TestScanChunks:
             f"error: --targets-file {listing} must hold integers separated by commas or spaces; got '13063x9'\n",
         )
 
+    @pytest.mark.parametrize("block", [1, 3, 7])
+    def test_token_at_the_length_cap_parses(self, demo_file, tmp_path, monkeypatch, capsys, block):
+        listing = tmp_path / "targets.txt"
+        listing.write_text("1308567 1306349")
+        monkeypatch.setattr(curlicue.cli, "_TARGETS_BLOCK", block)
+        monkeypatch.setattr(curlicue.cli, "_TOKEN_MAX", 7)
+        assert main(["scan", "--interferogram", str(demo_file), "--targets-file", str(listing)]) == 0
+        targets = [1308567, 1306349]
+        assert capsys.readouterr().out == _scan_json(scan_targets(read_interferogram(demo_file), targets))
+
+    def test_overlong_token_is_refused_unread(self, demo_file, tmp_path, monkeypatch, capsys):
+        # the carried token is refused once it passes the cap, not copied block after block
+        listing = tmp_path / "targets.txt"
+        listing.write_text("1308567 " + "9" * 50 + " 1306349")
+        monkeypatch.setattr(curlicue.cli, "_TARGETS_BLOCK", 4)
+        monkeypatch.setattr(curlicue.cli, "_TOKEN_MAX", 10)
+        parsed = []
+        parse = curlicue.cli._parse_targets
+
+        def spy(blocks, source):
+            return parse((parsed.append(block) or block for block in blocks), source)
+
+        monkeypatch.setattr(curlicue.cli, "_parse_targets", spy)
+        assert main(["scan", "--interferogram", str(demo_file), "--targets-file", str(listing)]) == 2
+        assert capsys.readouterr() == (
+            "",
+            f"error: --targets-file {listing} must hold integers separated by commas or spaces; "
+            f"got '999999999999...'\n",
+        )
+        assert parsed == ["1308", "567 ", "9999", "9999", "9999"]
+
+    def test_bad_token_before_an_overlong_one_is_named_first(self, demo_file, tmp_path, monkeypatch, capsys):
+        listing = tmp_path / "targets.txt"
+        listing.write_text("13x " + "9" * 50)
+        monkeypatch.setattr(curlicue.cli, "_TARGETS_BLOCK", 64)
+        monkeypatch.setattr(curlicue.cli, "_TOKEN_MAX", 10)
+        assert main(["scan", "--interferogram", str(demo_file), "--targets-file", str(listing)]) == 2
+        assert capsys.readouterr().err.endswith("got '13x'\n")
+
     def test_targets_file_is_read_in_blocks(self, demo_file, tmp_path, monkeypatch, capsys):
         listing = tmp_path / "targets.txt"
         listing.write_text("1308567 " * 100)
