@@ -13,7 +13,7 @@ import itertools
 import json
 import sys
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from . import io as igio
 from . import plotting
@@ -64,21 +64,30 @@ def _candidates_json(candidates, pad: str = "") -> str:
     return "[" + nl + text + nl + "]"
 
 
-def _report_json(report: FactorReport, candidates_json: str, pad: str = "") -> str:
-    """The report as json.dumps(..., indent=2) with pad after every newline, from one template that
-    writes numbers as _candidates_json does; candidates_json is _candidates_json(report.candidates, pad)."""
+def _report_encoder(report: FactorReport, pad: str = "") -> Callable[[FactorReport], str]:
+    """A function that writes a report as json.dumps(..., indent=2) with pad after every newline,
+    numbers as _candidates_json writes them, for every report that shares this one's q window,
+    candidates and params, as the reports of one scan_targets call do.
+
+    The shared text is formatted here, once; each report then formats only its n and factors.
+    """
     nl, num, (lo, hi) = "\n" + pad, int.__repr__, report.q_window
     params = report.diagnostics["threshold"], report.diagnostics["epsilon"]  # finite ints or floats
     threshold, epsilon = [(num if isinstance(v, int) else float.__repr__)(v) for v in params]
-    factors = f",{nl}    ".join([f"[{nl}      {num(q)},{nl}      {num(c)}{nl}    ]" for q, c in report.factors])
-    factors = f"[{nl}    {factors}{nl}  ]" if factors else "[]"
-    return (
-        f'{{{nl}  "n": {num(report.n)},'
-        f'{nl}  "q_window": [{nl}    {num(lo)},{nl}    {num(hi)}{nl}  ],'
-        f'{nl}  "factors": {factors},'
-        f'{nl}  "candidates": {candidates_json},'
+    head = f'{{{nl}  "n": '
+    middle = f',{nl}  "q_window": [{nl}    {num(lo)},{nl}    {num(hi)}{nl}  ],{nl}  "factors": '
+    tail = (
+        f',{nl}  "candidates": {_candidates_json(report.candidates, pad)},'
         f'{nl}  "params": {{{nl}    "threshold": {threshold},{nl}    "epsilon": {epsilon}{nl}  }}{nl}}}'
     )
+
+    def encode(r: FactorReport) -> str:
+        if not r.factors:
+            return f"{head}{num(r.n)}{middle}[]{tail}"
+        factors = f",{nl}    ".join([f"[{nl}      {num(q)},{nl}      {num(c)}{nl}    ]" for q, c in r.factors])
+        return f"{head}{num(r.n)}{middle}[{nl}    {factors}{nl}  ]{tail}"
+
+    return encode
 
 
 def _report_text(report: FactorReport) -> str:
@@ -125,7 +134,7 @@ def _cmd_factor(args) -> int:
     ig = igio.read_interferogram(args.interferogram)
     report = extract_factors(ig, args.n, threshold=args.threshold, epsilon=args.epsilon)
     if args.format == "json":
-        print(_report_json(report, _candidates_json(report.candidates)))
+        print(_report_encoder(report)(report))
     else:
         print(_report_text(report))
     return EXIT_OK if report.factors else EXIT_NO_FACTORS
@@ -182,10 +191,9 @@ def _cmd_scan(args) -> int:
     found, sep = False, "[\n  "
     for start in range(0, max(len(targets), 1), _SCAN_CHUNK):  # no targets: one call, which refuses them
         reports = scan_targets(ig, targets[start : start + _SCAN_CHUNK], args.threshold, args.epsilon)
-        encoded = _candidates_json(reports[0].candidates, "  ")  # shared by the chunk's reports
+        encode = _report_encoder(reports[0], "  ")  # the chunk's reports differ only in n and factors
         for i in range(0, len(reports), _WRITE_BATCH):
-            batch = reports[i : i + _WRITE_BATCH]
-            sys.stdout.write(sep + ",\n  ".join([_report_json(r, encoded, "  ") for r in batch]))
+            sys.stdout.write(sep + ",\n  ".join(map(encode, reports[i : i + _WRITE_BATCH])))
             sep = ",\n  "
         found = found or any(r.factors for r in reports)
     sys.stdout.write("\n]\n")

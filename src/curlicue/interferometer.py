@@ -62,9 +62,13 @@ class SpectralWindow:
 
     def pixel_centers(self) -> np.ndarray:
         """Pixel-center wavelengths lambda_min + (j + 1/2) * dlambda."""
-        step = (self.lambda_max_nm - self.lambda_min_nm) / self.pixel_count
-        j = np.arange(self.pixel_count, dtype=np.float64)
-        return self.lambda_min_nm + (j + 0.5) * step
+        return _pixel_centers(self, 0, self.pixel_count)
+
+
+def _pixel_centers(window: SpectralWindow, start: int, stop: int) -> np.ndarray:
+    """The centers of pixels start..stop-1, bit for bit as in the whole grid (j is exact in float64)."""
+    step = (window.lambda_max_nm - window.lambda_min_nm) / window.pixel_count
+    return window.lambda_min_nm + (np.arange(start, stop, dtype=np.float64) + 0.5) * step
 
 
 @dataclass(frozen=True)
@@ -105,7 +109,10 @@ class NoiseModel:
 class Interferogram:
     """A recorded or simulated spectrum: intensity versus wavelength at fixed x.
 
-    samples is a read-only (N, 2) float64 copy of the rows: wavelength (nm) > 0, ascending; intensity >= 0.
+    samples is a read-only (N, 2) float64 array held column-major, so that wavelengths()
+    and intensities() are contiguous columns: wavelength (nm) > 0, ascending; intensity
+    >= 0.  The constructor copies the rows it is given; simulate hands over the array it
+    filled, which nothing else holds.
     """
 
     displacement_unit_nm: float
@@ -114,9 +121,22 @@ class Interferogram:
     provenance: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "samples", np.array(self.samples, dtype=np.float64, order="F"))
+        self._validate()
+
+    @classmethod
+    def _adopt(cls, x_nm: float, spec: SumSpec, samples: np.ndarray, provenance: dict) -> Interferogram:
+        """The Interferogram of a column-major float64 array that nothing else holds, without a copy."""
+        ig = object.__new__(cls)
+        vars(ig).update(displacement_unit_nm=x_nm, sum_spec=spec, samples=samples, provenance=provenance)
+        ig._validate()
+        return ig
+
+    def _validate(self) -> None:
+        """Check the fields the constructor was given, then make samples read-only."""
         x = checked_real(self.displacement_unit_nm, "displacement_unit_nm", 0, strict=True)
         object.__setattr__(self, "displacement_unit_nm", x)
-        samples = np.array(self.samples, dtype=np.float64)
+        samples = self.samples
         if samples.ndim != 2 or samples.shape[1] != 2:
             raise ValueError(f"samples must be an N x 2 array, got shape {samples.shape}")
         if len(samples) < 2:
@@ -127,7 +147,6 @@ class Interferogram:
         if not (np.all(np.isfinite(inten)) and np.all(inten >= 0)):
             raise ValueError("intensities must be finite and >= 0")
         samples.flags.writeable = False
-        object.__setattr__(self, "samples", samples)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Interferogram):
@@ -234,11 +253,13 @@ def simulate(
     flat = sum(w for c, w, delta in arm_list if c == 0.0 and delta == 0.0)
     waves = [(c, w, delta) for c, w, delta in arm_list if c != 0.0 or delta != 0.0]
 
-    samples = np.empty((window.pixel_count, 2))
-    samples[:, 0] = window.pixel_centers()
+    # column-major, filled block by block and handed to the Interferogram without a copy: the
+    # samples, not a second grid, set simulate's memory peak
+    samples = np.empty((window.pixel_count, 2), order="F")
     for start in range(0, window.pixel_count, _GRID_BLOCK):
         block = slice(start, start + _GRID_BLOCK)
         lam_b = samples[block, 0]
+        lam_b[...] = _pixel_centers(window, start, start + len(lam_b))
         ratio = config.displacement_unit_nm / lam_b
         tau = ratio - np.round(ratio)
         acc = np.full(lam_b.shape, flat, dtype=np.complex128)
@@ -263,9 +284,4 @@ def simulate(
         "arm_weights": "equal" if noise.arm_weights is None else ",".join(map(repr, noise.arm_weights)),
         "generator": GENERATOR_VERSION,
     }
-    return Interferogram(
-        displacement_unit_nm=config.displacement_unit_nm,
-        sum_spec=spec,
-        samples=samples,
-        provenance=provenance,
-    )
+    return Interferogram._adopt(config.displacement_unit_nm, spec, samples, provenance)

@@ -710,7 +710,14 @@ def test_candidates_json_is_json_dumps(kind, pad):
         "params": params,
     }
     want = json.dumps(whole, indent=2).replace("\n", "\n" + pad)
-    assert curlicue.cli._report_json(report, curlicue.cli._candidates_json(candidates, pad), pad) == want
+    encode = curlicue.cli._report_encoder(report, pad)
+    assert encode(report) == want
+    # an encoder formats only n and factors per report: one built from a report of the same
+    # q window, candidates and params writes this one too
+    other = FactorReport(2**65 + 3, report.q_window, candidates, ((7, 11),), dict(report.diagnostics))
+    assert curlicue.cli._report_encoder(other, pad)(report) == want
+    want = json.dumps({**whole, "n": other.n, "factors": [[7, 11]]}, indent=2).replace("\n", "\n" + pad)
+    assert encode(other) == want
 
 
 # every subcommand's flags as the parser defined them before the shared flags moved into

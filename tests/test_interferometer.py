@@ -15,6 +15,7 @@ from curlicue import (
     SumSpec,
     UnderSampled,
     dumps_interferogram,
+    loads_interferogram,
     intensity,
     main_lobe_halfwidth,
     min_pixels,
@@ -22,7 +23,7 @@ from curlicue import (
     plan_single_number,
     simulate,
 )
-from curlicue.interferometer import _GRID_BLOCK, _PURPOSE_DETECTOR, _PURPOSE_MIRROR, _stream
+from curlicue.interferometer import _GRID_BLOCK, _PURPOSE_DETECTOR, _PURPOSE_MIRROR, _pixel_centers, _stream
 from conftest import DEMO_WINDOW, DEMO_X_NM
 
 
@@ -100,11 +101,12 @@ class TestNoiselessSimulation:
 @pytest.mark.parametrize(
     "noise", [None, NoiseModel(10.0, (0.5, 0.3, 0.2), 0.02, seed=5)], ids=["noiseless", "noisy"]
 )
-def test_simulate_holds_its_samples_and_one_copy_at_peak(noise):
-    # the pixel centres go straight into the samples and detector noise is drawn block by
-    # block, so the peak is the samples, the constructor's copy and block-sized temporaries;
-    # a separate wavelength array and an np.diff temporary would make it 3.1x, and a
-    # whole-grid detector draw 2.6x
+def test_simulate_holds_only_its_samples_at_peak(noise):
+    # each block's pixel centres go straight into the samples, detector noise is drawn block by
+    # block, and the Interferogram takes the filled array without a copy, so the peak is the
+    # samples, the validation's boolean temporaries and block-sized ones; a constructor copy
+    # would make it 2.1x, and so would whole-grid centres (with their temporaries), and a
+    # whole-grid detector draw would add 0.5x (8 B per pixel against 16)
     config = InterferometerConfig(2.9e6, SumSpec(3, 2))
     window = SpectralWindow(400.0, 800.0, 400_000)
     assert min_pixels(config, window) <= window.pixel_count
@@ -116,7 +118,27 @@ def test_simulate_holds_its_samples_and_one_copy_at_peak(noise):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.25 * ig.samples.nbytes, peak / ig.samples.nbytes
+    assert peak <= 1.25 * ig.samples.nbytes, peak / ig.samples.nbytes
+
+
+@pytest.mark.parametrize("pixels", [2, 8191, 8192, 8193, 16385])
+def test_block_centres_are_the_whole_grid_bits(demo_config, pixels):
+    window = SpectralWindow(*DEMO_WINDOW, pixels)
+    whole = window.pixel_centers()
+    starts = range(0, pixels, _GRID_BLOCK)
+    blocks = [_pixel_centers(window, start, min(start + _GRID_BLOCK, pixels)) for start in starts]
+    assert np.concatenate(blocks).tobytes() == whole.tobytes()
+    ig = simulate(demo_config, window, NoiseModel(10.0, None, 0.02, seed=3), allow_undersampled=True)
+    assert ig.wavelengths().tobytes() == whole.tobytes()
+
+
+def test_centres_that_do_not_increase_are_refused(demo_spec):
+    # four float64 steps of 400 nm split into 16 pixels: neighbouring centres round to one value
+    window = SpectralWindow(400.0, 400.0 + 4 * math.ulp(400.0), 16)
+    assert not np.all(np.diff(window.pixel_centers()) > 0)
+    message = "^sample wavelengths must be finite, positive and strictly increasing$"
+    with pytest.raises(ValueError, match=message):
+        simulate(InterferometerConfig(1.0, demo_spec), window, allow_undersampled=True)
 
 
 def _reference_simulate(config, window, noise=None):
@@ -351,6 +373,38 @@ class TestInterferogramType:
         assert twin == ig
         nudged = Interferogram(ig.displacement_unit_nm, ig.sum_spec, rows, dict(ig.provenance))
         assert nudged != ig
+
+    def test_constructor_copies_the_callers_array(self, demo_interferogram):
+        ig = demo_interferogram
+        for rows in (ig.samples.copy(order="C"), ig.samples.copy(order="F")):  # both layouts, writable
+            twin = Interferogram(ig.displacement_unit_nm, ig.sum_spec, rows, dict(ig.provenance))
+            assert not np.shares_memory(twin.samples, rows)
+            assert not twin.samples.flags.writeable and rows.flags.writeable
+            rows[:, 1] = 0.25
+            assert twin == ig
+
+    def test_simulate_hands_over_a_read_only_array(self, demo_config, demo_window):
+        ig = simulate(demo_config, demo_window)
+        assert not ig.samples.flags.writeable
+        assert ig.samples.base is None  # owned outright, not a view of someone's buffer
+        with pytest.raises(ValueError):
+            ig.wavelengths()[0] = 1.0
+
+    def test_both_columns_are_contiguous(self, demo_config, demo_window, demo_interferogram):
+        noisy = simulate(demo_config, demo_window, NoiseModel(10.0, None, 0.02, seed=1))
+        rows = demo_interferogram.samples.tolist()
+        made = [
+            demo_interferogram,
+            noisy,
+            Interferogram(DEMO_X_NM, demo_config.sum_spec, rows),
+            Interferogram(DEMO_X_NM, demo_config.sum_spec, np.ascontiguousarray(rows)),
+            loads_interferogram(dumps_interferogram(noisy)),
+        ]
+        for ig in made:
+            assert ig.samples.flags.f_contiguous and ig.samples.shape == (demo_window.pixel_count, 2)
+            assert ig.wavelengths().flags.c_contiguous and ig.intensities().flags.c_contiguous
+            assert ig.samples.tobytes() == np.ascontiguousarray(ig.samples).tobytes()  # row-major bytes
+        assert made[4] == noisy and all(np.array_equal(ig.samples, made[0].samples) for ig in made[2:4])
 
     def test_provenance_recorded(self, demo_interferogram):
         prov = demo_interferogram.provenance
