@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from curlicue import (
+    FileFormatError,
     IndexOutOfRange,
     Interferogram,
     InterferometerConfig,
@@ -214,6 +215,26 @@ def test_kernel_matches_the_reference_across_a_block_edge(demo_config, pixels):
     _assert_same_samples(demo_config, window, NoiseModel(10.0, (0.5, 0.3, 0.2), 0.02, seed=5))
 
 
+def test_cos_and_sin_of_the_phase_are_the_complex_exponential():
+    """simulate sums w*cos and w*sin of 2*pi*u where the reference sums w*exp(2j*pi*u)."""
+    lamp = SpectralWindow(400.0, 800.0)
+    config = InterferometerConfig(plan_single_number(9409, lamp).runs[0].x_nm, SumSpec(3, 2))
+    lam = SpectralWindow(400.0, 800.0, min_pixels(config, lamp)).pixel_centers()
+    ratio = config.displacement_unit_nm / lam
+    tau = ratio - np.round(ratio)
+    phases = [np.linspace(-0.5, 0.5, 2**20 + 1)]
+    for c in (1.0, 4.0):
+        v = c * tau
+        phases.append(v - np.round(v))
+    u = np.concatenate(phases)
+    z = np.exp((2j * math.pi) * u)
+    y = u * (2 * math.pi)
+    libm = "assumes numpy's float64 cos/sin and its complex exp all call libm, as CI's pinned container does"
+    assert np.cos(y).tobytes() == z.real.tobytes(), libm
+    # equal in value: sin gives -0.0 at u = -0.0 where the imaginary part may be +0.0
+    assert np.array_equal(np.sin(y), z.imag), libm
+
+
 class TestSamplingGuard:
     def test_demo_window_within_ccd(self, demo_config, demo_window):
         assert min_pixels(demo_config, demo_window) <= 2048
@@ -296,8 +317,10 @@ class TestNoise:
             NoiseModel(mirror_sigma_nm=-1.0)
 
     def test_weight_count_checked_against_arms(self, demo_config, demo_window):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^expected 3 arm weights, got 2$"):
             simulate(demo_config, demo_window, NoiseModel(0.0, (0.5, 0.5), 0.0, 0))
+        with pytest.raises(ValueError, match="^expected 3 arm weights, got 4$"):
+            simulate(demo_config, demo_window, NoiseModel(0.0, (0.25,) * 4, 0.0, 0))
 
     @pytest.mark.parametrize(
         "x_nm, spec, lambdas",
@@ -328,6 +351,10 @@ class TestNoise:
         assert inten.min() > 0.3  # destructive interference no longer complete
 
 
+_BAD_WAVELENGTHS = "sample wavelengths must be finite, positive and strictly increasing"
+_BAD_INTENSITIES = "intensities must be finite and >= 0"
+
+
 class TestInterferogramType:
     def test_needs_two_samples(self, demo_spec):
         with pytest.raises(ValueError):
@@ -353,6 +380,34 @@ class TestInterferogramType:
     def test_rejects_non_positive_wavelength(self, demo_spec, lam):
         with pytest.raises(ValueError):
             Interferogram(1.0, demo_spec, ((lam, 0.5), (401.0, 0.5)))
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (((math.nan, 0.5), (401.0, 0.5)), _BAD_WAVELENGTHS),
+            (((400.0, 0.5), (math.nan, 0.5), (402.0, 0.5)), _BAD_WAVELENGTHS),
+            (((400.0, 0.5), (math.inf, 0.5)), _BAD_WAVELENGTHS),
+            (((-math.inf, 0.5), (401.0, 0.5)), _BAD_WAVELENGTHS),
+            (((400.0, math.nan), (401.0, 0.5)), _BAD_INTENSITIES),
+            (((400.0, 0.5), (401.0, math.inf)), _BAD_INTENSITIES),
+            (((400.0, 0.5), (401.0, -math.inf)), _BAD_INTENSITIES),
+            (((400.0, math.nan), (401.0, -0.1)), _BAD_INTENSITIES),
+            (((400.0, 0.5), (401.0, -0.0)), None),
+        ],
+    )
+    def test_non_finite_samples_through_the_constructor_and_the_reader(self, demo_spec, rows, message):
+        text = "# curlicue-interferogram v1\n# x_nm=1.0\n# M=3\n# d=2\nlambda_nm,intensity\n"
+        text += "".join(f"{lam!r},{inten!r}\n" for lam, inten in rows)
+        if message is None:
+            want = np.array(rows)
+            for ig in (Interferogram(1.0, demo_spec, rows), loads_interferogram(text)):
+                assert ig.samples.tobytes() == want.tobytes()  # -0.0 keeps its sign
+            return
+        with pytest.raises(ValueError) as built:
+            Interferogram(1.0, demo_spec, rows)
+        with pytest.raises(FileFormatError) as read:
+            loads_interferogram(text)
+        assert str(built.value) == str(read.value) == message
 
     @pytest.mark.parametrize("x_nm", [0.0, -5.0, math.inf, math.nan])
     def test_rejects_bad_displacement(self, demo_spec, x_nm):
