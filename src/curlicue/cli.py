@@ -41,7 +41,9 @@ _TARGETS_BLOCK = 1 << 20  # characters of a --targets-file parsed at a time
 # a target, and carrying one from block to block would copy it again per block
 _TOKEN_MAX = 1 << 20
 _SCAN_CHUNK = 65_536  # scan targets per scan_targets call
-_WRITE_BATCH = 256  # scan reports per write, about 340 kB of text on the demo spectrum
+# characters of scan reports per write, about 190 reports on the demo spectrum; a report is
+# never split, so a write holds at least one
+_WRITE_CHARS = 1 << 18
 
 
 def _candidates_json(candidates, pad: str = "") -> str:
@@ -122,7 +124,8 @@ def _cmd_simulate(args) -> int:
         if args.out:
             igio.write_interferogram(ig, args.out)
         else:
-            sys.stdout.write(igio.dumps_interferogram(ig))
+            for block in igio._text_blocks(ig):  # dumps_interferogram's text, a block at a time
+                sys.stdout.write(block)
     except BaseException:
         if args.plot:
             Path(args.plot).unlink(missing_ok=True)
@@ -185,16 +188,20 @@ def _cmd_scan(args) -> int:
         for n in targets:
             checked_int(n, "target", lo=4)  # scan_targets' rule, before any chunk is written
     # one scan_targets call per chunk: a bad spectrum fails the first call, before any output, and
-    # the reports of at most two chunks are held.  Their text goes out in batches that stay in
-    # cache: at 10^6 targets, one 87 MB write per chunk peaked at 283 MB against 146 MB and made
-    # the loop 1.5-1.8x as slow
+    # the reports of at most two chunks are held.  Their text goes out in writes bounded by size,
+    # not by count, since a report holds every candidate of the spectrum: at 10^6 targets, one
+    # 87 MB write per chunk peaked at 283 MB against 146 MB and made the loop 1.5-1.8x as slow
     found, sep = False, "[\n  "
     for start in range(0, max(len(targets), 1), _SCAN_CHUNK):  # no targets: one call, which refuses them
         reports = scan_targets(ig, targets[start : start + _SCAN_CHUNK], args.threshold, args.epsilon)
         encode = _report_encoder(reports[0], "  ")  # the chunk's reports differ only in n and factors
-        for i in range(0, len(reports), _WRITE_BATCH):
-            sys.stdout.write(sep + ",\n  ".join(map(encode, reports[i : i + _WRITE_BATCH])))
-            sep = ",\n  "
+        batch, size = [], 0
+        for i, report in enumerate(reports, 1):
+            batch.append(encode(report))
+            size += len(batch[-1])
+            if size >= _WRITE_CHARS or i == len(reports):
+                sys.stdout.write(sep + ",\n  ".join(batch))
+                sep, batch, size = ",\n  ", [], 0
         found = found or any(r.factors for r in reports)
     sys.stdout.write("\n]\n")
     return EXIT_OK if found else EXIT_NO_FACTORS

@@ -310,12 +310,21 @@ class TestScanChunks:
     @pytest.mark.parametrize("batch", [1, 2, 256])
     @pytest.mark.parametrize("count", [1, 3, 4, 6, 7])
     def test_chunks_write_one_scan(self, demo_file, monkeypatch, capsys, count, batch):
-        monkeypatch.setattr(curlicue.cli, "_SCAN_CHUNK", 3)
-        monkeypatch.setattr(curlicue.cli, "_WRITE_BATCH", batch)
         targets = (SCAN_MISSES + SCAN_PAIRS)[-count:]
+        reports = scan_targets(read_interferogram(demo_file), targets)
+        # a write ends once its text reaches the bound, and these reports differ in length by
+        # less than the shortest one, so batch times the shortest puts batch reports in a write:
+        # one, several, or (at 256) the whole chunk
+        shortest = min(len(curlicue.cli._report_encoder(r, "  ")(r)) for r in reports)
+        monkeypatch.setattr(curlicue.cli, "_SCAN_CHUNK", 3)
+        monkeypatch.setattr(curlicue.cli, "_WRITE_CHARS", batch * shortest)
+        written, write = [], sys.stdout.write
+        monkeypatch.setattr(sys.stdout, "write", lambda text: written.append(text.count('"n": ')) or write(text))
         argv = ["scan", "--interferogram", str(demo_file), "--targets", ",".join(map(str, targets))]
         assert main(argv) == 0
-        assert capsys.readouterr().out == _scan_json(scan_targets(read_interferogram(demo_file), targets))
+        assert capsys.readouterr().out == _scan_json(reports)
+        chunks = [min(3, count - start) for start in range(0, count, 3)]
+        assert written == [min(batch, c - k) for c in chunks for k in range(0, c, batch)] + [0]
 
     @pytest.mark.parametrize(
         "first, last, code",

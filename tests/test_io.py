@@ -1,10 +1,13 @@
+import errno
 import hashlib
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import curlicue.io
 from curlicue import (
     FileFormatError,
     InterferometerConfig,
@@ -21,8 +24,28 @@ from curlicue import (
     simulate,
     write_interferogram,
 )
-from curlicue.io import VERSION_LINE
-from conftest import DEMO_X_NM
+from curlicue.cli import main
+from curlicue.io import _COLUMNS, _CORE_KEYS, VERSION_LINE, _bad_row, _plain
+from conftest import DEMO_WINDOW, DEMO_X_NM
+
+
+class _FailingWrites:
+    """A binary file whose second write fails, as a full disk fails it."""
+
+    def __init__(self, path, mode):
+        self.fh, self.writes = open(path, mode), 0
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes == 2:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return self.fh.write(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
 
 
 class TestRoundTrip:
@@ -54,6 +77,20 @@ class TestRoundTrip:
         with pytest.raises(UnicodeEncodeError):
             write_interferogram(ig, path)
         assert not path.exists()
+
+    def test_failed_write_removes_its_partial_file(self, demo_interferogram, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(curlicue.io, "open", _FailingWrites, raising=False)
+        path = tmp_path / "partial.csv"
+        with pytest.raises(OSError, match="No space left on device"):
+            write_interferogram(demo_interferogram, path)
+        assert not path.exists()
+        # through the CLI the run is a usage fault, and the plot written before the spectrum goes too
+        svg = tmp_path / "partial.svg"
+        argv = ["simulate", "--x", repr(DEMO_X_NM), "--lambda-min", repr(DEMO_WINDOW[0]),
+                "--lambda-max", repr(DEMO_WINDOW[1]), "--out", str(path), "--plot", str(svg)]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "error: [Errno 28] No space left on device\n")
+        assert not path.exists() and not svg.exists()
 
     def test_randomized_sweep(self):
         rng = random.Random(404)
@@ -425,3 +462,158 @@ def test_cli_session_size_spectrum_round_trips_bit_for_bit():
     assert len(ig.samples) > 125_000
     assert parsed == ig
     assert parsed.samples.tobytes() == ig.samples.tobytes()
+
+
+def _whole_text_loads(text: str) -> Interferogram:
+    """loads_interferogram as it was before the text was read in blocks: the whole text split
+    into lines at once and its data rows parsed in one numpy.loadtxt call.  Kept as the
+    reference that the block reader must match, outcome for outcome."""
+    lines = text.splitlines()
+    if not lines or lines[0].strip() != VERSION_LINE:
+        raise FileFormatError(f"first line must be {VERSION_LINE!r}")
+    header: dict[str, str] = {}
+    i = 1
+    while i < len(lines) and lines[i].lstrip().startswith("#"):
+        body = lines[i].lstrip()[1:].strip()
+        key, sep, value = (part.strip() for part in body.partition("="))
+        if not sep or not key:
+            raise FileFormatError(f"malformed header line {i + 1}: {lines[i]!r}")
+        if key in header:
+            raise FileFormatError(f"header line {i + 1} repeats key {key!r}")
+        header[key] = value
+        i += 1
+    if i >= len(lines) or lines[i].strip() != _COLUMNS:
+        raise FileFormatError(f"expected column header {_COLUMNS!r} after the header block")
+    rows = list(filter(str.strip, lines[i + 1 :]))
+    samples = np.empty((0, 2))
+    if rows:
+        try:
+            samples = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+            if samples.shape[1] != 2:
+                raise ValueError(f"{samples.shape[1]} columns")
+        except ValueError as exc:
+            raise _bad_row(lines[i + 1 :], i + 2, exc) from None
+    for key in _CORE_KEYS:
+        if key not in header:
+            raise FileFormatError(f"missing required header key {key!r}")
+    try:
+        x_nm = float(_plain(header["x_nm"]))
+        spec = SumSpec(int(_plain(header["M"])), int(_plain(header["d"])))
+    except ValueError as exc:
+        raise FileFormatError(f"bad header value: {exc}") from None
+    provenance = {k: v for k, v in header.items() if k not in _CORE_KEYS}
+    try:
+        return Interferogram(x_nm, spec, samples, provenance)
+    except ValueError as exc:
+        raise FileFormatError(str(exc)) from None
+
+
+def _outcome(load, source):
+    try:
+        ig = load(source)
+    except FileFormatError as exc:
+        return str(exc)
+    assert ig.samples.flags.f_contiguous
+    return ig.displacement_unit_nm, ig.sum_spec, ig.provenance, ig.samples.tobytes()
+
+
+def _block_cases() -> list[str]:
+    """Texts whose lines end, or go wrong, where a small block ends."""
+    base = "\n".join(FUZZ_LINES) + "\n"
+    head, data = base.split("lambda_nm,intensity\n")
+    long_rows = "".join(f"{400 + k}.0,0.5\n" for k in range(300))
+    cases = [
+        base,
+        base.replace("\n", "\r\n"),
+        base.replace("\n", "\r"),
+        base.replace("\n", "\n\r"),  # a blank line after each, ended by the lone '\r'
+        base.rstrip("\n"),
+        base.replace("\n", "\r\n").rstrip("\n"),  # ends in a lone '\r'
+        head + "# note=" + "x = y " * 40 + "\nlambda_nm,intensity\n" + data,  # a header line over many blocks
+        head + "lambda_nm,intensity\n \t\n" + data.replace("\n", "\n\u2003\n\t \r\n", 2) + "  \n\n",
+        head + "lambda_nm,intensity\n" + long_rows,
+        head + "lambda_nm,intensity\n" + long_rows.replace("650.0,0.5", "650.0,0.5x"),
+        head + "lambda_nm,intensity\n" + long_rows.replace("690.0,0.5", "690.0,0.5,1"),
+        head + "lambda_nm,intensity\n" + long_rows.replace("\n", "\r\n").replace("689.0,0.5", "689.0"),
+        head + "# M=4\nlambda_nm,intensity\n" + data,
+        head + "lambda_nm,intensity\n" + data.replace("400.5", "40\r0.5"),
+        "",
+        "\r\n",
+        VERSION_LINE,
+        VERSION_LINE + "\r",
+    ]
+    for brk in "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029":
+        cases.append(base.replace("\n", brk))
+        cases.append(base.replace(",0.", brk + ",0.", 1))  # a break inside a data row
+    cases.append("".join(line + "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"[k % 11] for k, line in enumerate(FUZZ_LINES)))
+    return cases
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 7, 64])
+def test_blocks_read_as_the_whole_text(block, monkeypatch, tmp_path):
+    # every text, read in blocks of any size from a str or a file, gives the whole-text parser's
+    # samples bit for bit, or its error message; a file is read with its '\r\n' and '\r' made
+    # '\n', which splitlines breaks at alike
+    rng = random.Random(2011)
+    corpus = [_mutated(rng) for _ in range(2000)] + _row_mutations(random.Random(1506), 6000) + _block_cases()
+    monkeypatch.setattr(curlicue.io, "_READ_BLOCK", block)
+    path = tmp_path / "case.csv"
+    outcomes = set()
+    for text in corpus:
+        want = _outcome(_whole_text_loads, text)
+        assert _outcome(loads_interferogram, text) == want, text
+        path.write_bytes(text.encode("utf-8"))
+        assert _outcome(read_interferogram, path) == want, text
+        outcomes.add(want if isinstance(want, str) else "parsed")
+    assert len(outcomes) > 20, outcomes
+
+
+def test_line_blocks_split_as_splitlines():
+    # the line splitter alone, on every way of cutting a text with each break in two or three
+    text = "a\r\nb\n\rc\r\r\nd\x0be\x0cf\x1cg\x1dh\x1ei\x85j\u2028k\u2029l\r"
+    for i in range(len(text) + 1):
+        for j in range(i, len(text) + 1):
+            chunks = [c for c in (text[:i], text[i:j], text[j:]) if c]
+            assert [line for lines in curlicue.io._lines(chunks) for line in lines] == text.splitlines()
+
+
+@pytest.fixture(scope="module")
+def large_file(tmp_path_factory):
+    # 400,000 px, 6.4 MB of samples and 12 MB of v1 text
+    config = InterferometerConfig(2.9e6, SumSpec(3, 2))
+    ig = simulate(config, SpectralWindow(400.0, 800.0, 400_000))
+    path = tmp_path_factory.mktemp("large") / "large.csv"
+    write_interferogram(ig, path)
+    return ig, path
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_write_holds_one_block_of_text_at_peak(large_file, tmp_path):
+    # the rows are formatted and written 8,192 at a time, about 0.3 MB of text; the whole text,
+    # as it was once built, came to 9.4x the samples
+    ig, path = large_file
+    out = tmp_path / "again.csv"
+    _, peak = _traced_peak(lambda: write_interferogram(ig, out))
+    assert out.read_bytes() == path.read_bytes()
+    assert peak <= 0.25 * ig.samples.nbytes, peak / ig.samples.nbytes
+
+
+def test_read_holds_twice_its_samples_at_peak(large_file):
+    # the parsed blocks and the column-major array they go into, and one block of text and its
+    # lines; the whole text and its line list came to 9.9x the samples
+    ig, path = large_file
+    parsed, peak = _traced_peak(lambda: read_interferogram(path))
+    assert parsed.samples.tobytes() == ig.samples.tobytes() and parsed.samples.flags.f_contiguous
+    assert peak <= 2.25 * ig.samples.nbytes, peak / ig.samples.nbytes
+    text = path.read_text()
+    parsed, peak = _traced_peak(lambda: loads_interferogram(text))  # beyond the text it is given
+    assert parsed == ig
+    assert peak <= 2.25 * ig.samples.nbytes, peak / ig.samples.nbytes
