@@ -20,10 +20,12 @@ reads it: ASCII only and no '_', so '1_0' and non-ASCII digits are refused.
 
 Neither direction holds the whole text.  The writer formats _WRITE_ROWS rows
 at a time and writes each block before it formats the next; the reader parses
-_READ_BLOCK characters at a time, carrying a line that runs past a block into
-the next, and copies the parsed blocks into one array at the end.  So a write
-holds one block of text beyond its samples, and a read peaks at about twice
-the samples it returns (tracemalloc: 0.05x and 2.0x at 2,000,000 px).
+_READ_BLOCK characters at a time, cuts each block after its last '\n' or '\r'
+(not a '\r' that ends the block, which may begin a '\r\n'), carries the rest
+into the next block, and copies the parsed blocks into one array at the end.
+So a write holds one block of text beyond its samples, and a read peaks at
+about twice the samples it returns (tracemalloc: 0.05x and 2.0x at 2,000,000
+px).
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ _CORE_KEYS = ("x_nm", "M", "d")
 _ORDERED_PROVENANCE = ("r_nm", "seed", "mirror_sigma_nm", "detector_sigma")
 _WRITE_ROWS = 8192  # rows formatted per block of text written
 _READ_BLOCK = 1 << 18  # characters of text parsed per block read
-_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"  # what str.splitlines ends a line at
 
 
 def _check_provenance(provenance: dict) -> None:
@@ -116,32 +117,23 @@ def _bad_row(lines: list[str], lineno: int, exc: ValueError) -> FileFormatError:
 
 def _lines(chunks: Iterable[str]) -> Iterator[list[str]]:
     """The lines of the text that chunks make up, as str.splitlines gives them, in one list per
-    chunk that ends a line.
+    chunk that holds a cut.
 
-    The pieces of a line that runs past the end of a chunk are kept and joined once the line
-    ends, so a line longer than a chunk costs its length, not its length times its chunks; a
-    '\n' that starts a chunk after one that ended in '\r' is the rest of a '\r\n' break.
+    A chunk is cut after its last '\n' or its last '\r', whichever comes later; a '\r' that ends
+    the chunk does not count, as it may be the first half of a '\r\n'.  The text before the cut,
+    joined to what was carried, ends at a whole break and is split by str.splitlines in one call.
+    The rest is carried as a list of pieces, so a line longer than a chunk costs its length, not
+    its length times its chunks.
     """
-    pending: list[str] = []  # the pieces of the line that has not ended yet
-    after_cr = False
+    carried: list[str] = []  # the text after the last cut, in pieces
     for chunk in chunks:
-        if after_cr and chunk.startswith("\n"):
-            chunk = chunk[1:]
-        after_cr = chunk.endswith("\r")
-        lines = chunk.splitlines()
-        if not lines:  # the chunk was the '\n' of a '\r\n' alone
-            continue
-        open_end = chunk[-1] not in _BREAKS
-        if open_end and len(lines) == 1:  # no break in this chunk: its line goes on
-            pending.append(chunk)
-            continue
-        if pending:
-            pending.append(lines[0])
-            lines[0] = "".join(pending)
-        pending = [lines.pop()] if open_end else []
-        yield lines
-    if pending:
-        yield ["".join(pending)]
+        cut = max(chunk.rfind("\n"), chunk.rfind("\r", 0, -1)) + 1
+        if cut:
+            carried.append(chunk[:cut])
+            yield "".join(carried).splitlines()
+            carried = []
+        carried.append(chunk[cut:])
+    yield "".join(carried).splitlines()
 
 
 def _parse(chunks: Iterable[str]) -> Interferogram:

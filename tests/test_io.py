@@ -577,6 +577,18 @@ def test_line_blocks_split_as_splitlines():
             assert [line for lines in curlicue.io._lines(chunks) for line in lines] == text.splitlines()
 
 
+def test_seeded_random_blocks_split_as_splitlines():
+    # 5,000 seeded texts over the breaks, '\r\n' among them, each cut into blocks at 1 to 4 points:
+    # cutting a text between a '\r' and its '\n' must not make an extra line
+    symbols = ["a", ",", "\n", "\r", "\r\n", "\x0b", "\x85", "\u2028"]
+    rng = random.Random(25)
+    for _ in range(5000):
+        text = "".join(rng.choice(symbols) for _ in range(rng.randint(0, 12)))
+        cuts = sorted(rng.randint(0, len(text)) for _ in range(rng.randint(1, 4)))
+        chunks = [c for c in (text[i:j] for i, j in zip([0, *cuts], [*cuts, len(text)])) if c]
+        assert [line for lines in curlicue.io._lines(chunks) for line in lines] == text.splitlines(), (text, cuts)
+
+
 @pytest.fixture(scope="module")
 def large_file(tmp_path_factory):
     # 400,000 px, 6.4 MB of samples and 12 MB of v1 text
@@ -614,6 +626,17 @@ def test_read_holds_twice_its_samples_at_peak(large_file):
     assert parsed.samples.tobytes() == ig.samples.tobytes() and parsed.samples.flags.f_contiguous
     assert peak <= 2.25 * ig.samples.nbytes, peak / ig.samples.nbytes
     text = path.read_text()
+    parsed, peak = _traced_peak(lambda: loads_interferogram(text))  # beyond the text it is given
+    assert parsed == ig
+    assert peak <= 2.25 * ig.samples.nbytes, peak / ig.samples.nbytes
+
+
+@pytest.mark.parametrize("brk", ["\r", "\r\n"])
+def test_loads_holds_twice_its_samples_at_peak_with_cr_breaks(large_file, brk):
+    # a block is cut after its last '\r' too, so a text whose lines end in '\r' is not carried
+    # whole from block to block (cut only after '\n', it peaked at 9.1x the samples)
+    ig, path = large_file
+    text = path.read_text().replace("\n", brk)
     parsed, peak = _traced_peak(lambda: loads_interferogram(text))  # beyond the text it is given
     assert parsed == ig
     assert peak <= 2.25 * ig.samples.nbytes, peak / ig.samples.nbytes
