@@ -65,10 +65,26 @@ class SpectralWindow:
         return _pixel_centers(self, 0, self.pixel_count)
 
 
-def _pixel_centers(window: SpectralWindow, start: int, stop: int) -> np.ndarray:
-    """The centers of pixels start..stop-1, bit for bit as in the whole grid (j is exact in float64)."""
+# a block's pixel indices less its first: its centres are written into their column from these
+# with no arange temporary
+_BLOCK_OFFSETS = np.arange(_GRID_BLOCK, dtype=np.float64)
+_BLOCK_OFFSETS.flags.writeable = False
+
+
+def _pixel_centers(
+    window: SpectralWindow, start: int, stop: int, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """The centers of pixels start..stop-1, bit for bit as in the whole grid (j + 1/2 is exact in
+    float64).  Given out, at most _GRID_BLOCK long, they are written there with no temporary."""
     step = (window.lambda_max_nm - window.lambda_min_nm) / window.pixel_count
-    return window.lambda_min_nm + (np.arange(start, stop, dtype=np.float64) + 0.5) * step
+    if out is None:
+        out = np.arange(start, stop, dtype=np.float64)
+        out += 0.5
+    else:
+        np.add(_BLOCK_OFFSETS[: stop - start], start + 0.5, out=out)
+    out *= step
+    out += window.lambda_min_nm
+    return out
 
 
 @dataclass(frozen=True)
@@ -197,6 +213,57 @@ def _stream(seed: int, purpose: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _fill_samples(
+    samples: np.ndarray,
+    window: SpectralWindow,
+    x_nm: float,
+    flat: float,
+    waves: list[tuple[float, float, float]],
+    noise: NoiseModel,
+) -> None:
+    """Write the window's pixel centres and their intensities into samples' two columns.
+
+    The pixels go _GRID_BLOCK at a time, and every ufunc writes into one of five block-long work
+    columns made once per call, so no block allocates.  The operations and their order are those
+    of the whole-grid formula, so every bit is the same: tau = ratio - round(ratio), then per wave
+    v = c*tau (+ delta/lambda), u = (v - round(v)) * 2 pi, re += w*cos(u), im += w*sin(u), and last
+    re*re + im*im, the detector noise and the clip.  The work columns are this call's locals, so
+    they are freed before the caller checks the samples.
+    """
+    # one stream gives its normals in order, whatever the block sizes, so drawing per block keeps
+    # the bits of one whole-grid draw; normal(0, sigma) is 0.0 + sigma * standard_normal, and the
+    # 0.0 only turns a -0.0 into +0.0, which adding it to re*re + im*im >= +0.0 cannot show
+    detector = _stream(noise.seed, _PURPOSE_DETECTOR, 0) if noise.detector_sigma > 0 else None
+    ceiling = 1.0 + 5.0 * noise.detector_sigma
+    size = min(len(samples), _GRID_BLOCK)
+    tau_w, re_w, im_w, u_w, scratch_w = (np.empty(size) for _ in range(5))
+    for start in range(0, len(samples), _GRID_BLOCK):
+        lam = samples[start : start + _GRID_BLOCK, 0]
+        n = len(lam)
+        tau, re, im, u, scratch = tau_w[:n], re_w[:n], im_w[:n], u_w[:n], scratch_w[:n]
+        _pixel_centers(window, start, start + n, out=lam)
+        np.divide(x_nm, lam, out=tau)
+        tau -= np.round(tau, out=scratch)
+        re.fill(flat)
+        im.fill(0.0)
+        for c, w, delta in waves:
+            np.multiply(c, tau, out=u)
+            if delta != 0.0:
+                # adding 0.0 / lambda would only turn a -0.0 phase into +0.0, and the
+                # rounding below gives +0.0 for either
+                u += np.divide(delta, lam, out=scratch)
+            u -= np.round(u, out=scratch)
+            u *= 2 * math.pi
+            re += np.multiply(np.cos(u, out=scratch), w, out=scratch)
+            im += np.multiply(np.sin(u, out=scratch), w, out=scratch)
+        re *= re
+        im *= im
+        re += im
+        if detector is not None:
+            re += np.multiply(detector.standard_normal(out=scratch), noise.detector_sigma, out=scratch)
+        np.clip(re, 0.0, ceiling, out=samples[start : start + n, 1])
+
+
 def simulate(
     config: InterferometerConfig,
     window: SpectralWindow,
@@ -218,6 +285,10 @@ def simulate(
     numpy's trig calls libm), and one more division per arm with a mirror
     offset.  Arm 0 sits at the reference length, so an M-arm run without mirror
     error evaluates M - 1 waves per pixel and a run with mirror error M.
+
+    Memory: the samples (16 B per pixel), filled in place with five float64 work
+    columns of one block (at most 320 KiB), which are freed before the samples
+    are checked; the checks add one boolean per pixel.
     """
     if noise is None:
         noise = _NOISELESS
@@ -240,11 +311,6 @@ def simulate(
             for m in range(arms)
         ]
 
-    # one stream gives its normals in order, whatever the block sizes, so drawing
-    # per block keeps the bits of one whole-grid draw
-    detector = _stream(noise.seed, _PURPOSE_DETECTOR, 0) if noise.detector_sigma > 0 else None
-    ceiling = 1.0 + 5.0 * noise.detector_sigma
-
     # arm 0 (c = 0, first in the sum) without mirror error has phase 0 at every pixel, and
     # w * cos(0) + i * w * sin(0) is exactly w + 0j: its weight starts the real sum, with no trig
     arm_list = list(zip(coeffs, weights, deltas))
@@ -254,27 +320,7 @@ def simulate(
     # column-major, filled block by block and handed to the Interferogram without a copy: the
     # samples, not a second grid, set simulate's memory peak
     samples = np.empty((window.pixel_count, 2), order="F")
-    for start in range(0, window.pixel_count, _GRID_BLOCK):
-        block = slice(start, start + _GRID_BLOCK)
-        lam_b = samples[block, 0]
-        lam_b[...] = _pixel_centers(window, start, start + len(lam_b))
-        ratio = config.displacement_unit_nm / lam_b
-        tau = ratio - np.round(ratio)
-        re = np.full(lam_b.shape, flat, dtype=np.float64)
-        im = np.zeros(lam_b.shape)
-        for c, w, delta in waves:
-            v = c * tau
-            if delta != 0.0:
-                # adding 0.0 / lambda would only turn a -0.0 phase into +0.0, and the
-                # rounding below gives +0.0 for either
-                v += delta / lam_b
-            u = (v - np.round(v)) * (2 * math.pi)
-            re += w * np.cos(u)
-            im += w * np.sin(u)
-        values = re * re + im * im
-        if detector is not None:
-            values += detector.normal(0.0, noise.detector_sigma, size=len(values))
-        np.clip(values, 0.0, ceiling, out=samples[block, 1])
+    _fill_samples(samples, window, config.displacement_unit_nm, flat, waves, noise)
 
     provenance = {
         "r_nm": repr(float(config.reference_length_nm)),

@@ -215,6 +215,48 @@ def test_kernel_matches_the_reference_across_a_block_edge(demo_config, pixels):
     _assert_same_samples(demo_config, window, NoiseModel(10.0, (0.5, 0.3, 0.2), 0.02, seed=5))
 
 
+_BLOCK_SHAPE_CASES = {
+    "noiseless": (SumSpec(3, 2), None),
+    "noisy": (SumSpec(3, 2), NoiseModel(10.0, (0.5, 0.3, 0.2), 0.02, seed=5)),
+    "five-paths-mirror": (SumSpec(5, 3), NoiseModel(10.0, seed=1)),
+}
+
+
+@pytest.mark.parametrize("case", list(_BLOCK_SHAPE_CASES))
+@pytest.mark.parametrize("pixels", [2, 3, 8191, 8192, 8193, 16385, 3 * 8192 + 1])
+def test_kernel_matches_the_reference_at_every_block_shape(case, pixels):
+    # a grid shorter than a block, one pixel short of, at and past one block, and a one-pixel
+    # last block after two and three whole ones
+    spec, noise = _BLOCK_SHAPE_CASES[case]
+    _assert_same_samples(InterferometerConfig(DEMO_X_NM, spec), SpectralWindow(*DEMO_WINDOW, pixels), noise)
+
+
+def test_no_work_state_carries_over_between_calls():
+    # a 2-px call between two 16,385-px ones: its short work columns must not shape the next run
+    config = InterferometerConfig(DEMO_X_NM, SumSpec(5, 3))
+    noise = NoiseModel(10.0, None, 0.02, seed=9)
+    runs = [
+        simulate(config, SpectralWindow(*DEMO_WINDOW, pixels), noise, allow_undersampled=True)
+        for pixels in (16385, 2, 16385)
+    ]
+    assert runs[0].samples.tobytes() == runs[2].samples.tobytes()
+
+
+def test_simulate_frees_its_work_columns_before_the_checks():
+    # the peak is the samples and _validate's one boolean per pixel (1.0625x); the kernel's five
+    # block-long work columns (320 KiB) held through the checks would come on top, about 1.073x
+    config = InterferometerConfig(2.9e6, SumSpec(3, 2))
+    window = SpectralWindow(400.0, 800.0, 2_000_000)
+    simulate(config, SpectralWindow(400.0, 800.0, 16), allow_undersampled=True)
+    tracemalloc.start()
+    try:
+        ig = simulate(config, window)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.07 * ig.samples.nbytes, peak / ig.samples.nbytes
+
+
 def test_cos_and_sin_of_the_phase_are_the_complex_exponential():
     """simulate sums w*cos and w*sin of 2*pi*u where the reference sums w*exp(2j*pi*u)."""
     lamp = SpectralWindow(400.0, 800.0)
