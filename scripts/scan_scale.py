@@ -15,9 +15,11 @@ order), two fresh Python processes:
   ...])` with stdout sent to a file. It reports main's wall time, the peak RSS
   (`ru_maxrss`), the stdout bytes and sha256, and a split of the wall time:
   `parse` (from main's start to the spectrum read: argparse, reading and
-  parsing the targets), `read` (the spectrum file), `scan` (every
-  `scan_targets` call), `write` (every `sys.stdout.write`, and the last
-  flush) and `encode` (the rest: the report templates and the target check).
+  parsing the targets), `read` (the spectrum file), `scan` (the one
+  `scan_pairs` call: the target check, detection, gating and sieve; every
+  `scan_targets` call in a source that has no `scan_pairs`), `write`
+  (every `sys.stdout.write`, and the last flush) and `encode` (the rest: the
+  report template and each target's text).
 - `library`: one `scan_targets(ig, targets)` call on the parsed targets, then
   `gc.collect(0)`. It reports their time and peak RSS, split into `detect`
   (`detect_peaks`), `sieve` (`analysis._divisor_pairs`), `reports` (the rest
@@ -78,7 +80,8 @@ class Out:
 
 spectrum, listing = sys.argv[1:3]
 igio.read_interferogram = timed("read", igio.read_interferogram)
-cli.scan_targets = timed("scan", cli.scan_targets)
+core = "scan_pairs" if hasattr(cli, "scan_pairs") else "scan_targets"  # a source from before scan_pairs
+setattr(cli, core, timed("scan", getattr(cli, core)))
 sys.stdout = Out(sys.stdout)
 start = time.perf_counter()
 code = cli.main(["scan", "--interferogram", spectrum, "--targets-file", listing])

@@ -163,27 +163,20 @@ def extract_factors(
     return scan_targets(ig, [n], threshold, epsilon)[0]
 
 
-def scan_targets(
+def scan_pairs(
     ig: Interferogram,
     targets: Iterable[int],
     threshold: float = DEFAULT_THRESHOLD,
     epsilon: float = DEFAULT_EPSILON,
-) -> list[FactorReport]:
-    """One FactorReport per target from a single detection and gating pass.
+) -> tuple:
+    """The report-free core of `scan_targets`: (targets, q window, in-window candidates,
+    (peaks, in_window, integer_gated) counts, each target's factor pairs in target order).
 
-    Nothing but the exact division depends on the target, so peaks are
-    detected, windowed and epsilon-gated once per spectrum (see
-    `detect_peaks` for that cost), and one sieve finds the divisors of every
-    target among the gated ratios (see `_divisor_pairs`).  Each target then
-    costs one FactorReport and two dicts; the q window and the in-window
-    candidates are immutable tuples shared by every report.  The q window is
-    `q_window` over the first and last pixel, so a span that holds no integer
-    ratio raises EmptyWindow instead of reporting no factors.
-
-    The cyclic garbage collector is paused while the reports are built, after
-    every check, the detection and the sieve, and is enabled again afterwards
-    if it was enabled on entry.  The pause is process-wide: another thread
-    that disables the collector during the build finds it enabled again.
+    Nothing but the exact division depends on the target, so peaks are detected, windowed and
+    epsilon-gated once per spectrum (see `detect_peaks` for that cost), and one sieve finds the
+    divisors of every target among the gated ratios (see `_divisor_pairs`).  The q window is
+    `q_window` over the first and last pixel, so a span that holds no integer ratio raises
+    EmptyWindow instead of reporting no factors.  The targets are checked first, then epsilon.
     """
     target_list = list(targets)
     if set(map(type, target_list)) != {int} or min(target_list) < 4:
@@ -197,8 +190,26 @@ def scan_targets(
     q_lo, q_hi = window = q_window(ig.displacement_unit_nm, span)
     in_window = tuple(p for p in peaks if q_lo <= p.q <= q_hi)
     gated = [p for p in in_window if abs(p.residual) <= epsilon]
-    n_peaks, n_in_window, n_gated = len(peaks), len(in_window), len(gated)
     pairs = _divisor_pairs(target_list, [p.q for p in reversed(gated)])  # distinct q, ascending
+    return target_list, window, in_window, (len(peaks), len(in_window), len(gated)), pairs
+
+
+def scan_targets(
+    ig: Interferogram,
+    targets: Iterable[int],
+    threshold: float = DEFAULT_THRESHOLD,
+    epsilon: float = DEFAULT_EPSILON,
+) -> list[FactorReport]:
+    """One FactorReport per target from one `scan_pairs` pass, which does all the checks and
+    the work; each report then costs one FactorReport and two dicts, and the q window and the
+    in-window candidates are immutable tuples shared by every report.
+
+    The cyclic garbage collector is paused while the reports are built, after
+    every check, the detection and the sieve, and is enabled again afterwards
+    if it was enabled on entry.  The pause is process-wide: another thread
+    that disables the collector during the build finds it enabled again.
+    """
+    targets, window, in_window, (n_peaks, n_in, n_gated), pairs = scan_pairs(ig, targets, threshold, epsilon)
     # each report gets dicts of its own: a caller may mutate one report's diagnostics.  Three
     # new containers per target would trigger collections that walk the reports built so far
     # again and again; the comprehension runs no caller code and makes no cycle
@@ -216,13 +227,13 @@ def scan_targets(
                     "epsilon": epsilon,
                     "counts": {
                         "peaks": n_peaks,
-                        "in_window": n_in_window,
+                        "in_window": n_in,
                         "integer_gated": n_gated,
                         "factors": len(factors),
                     },
                 },
             )
-            for n, factors in zip(target_list, pairs)
+            for n, factors in zip(targets, pairs)
         ]
     finally:
         if enabled:

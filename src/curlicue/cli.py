@@ -17,8 +17,10 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from . import io as igio
 from . import plotting
-from .analysis import DEFAULT_EPSILON, DEFAULT_THRESHOLD, FactorReport, extract_factors, scan_targets
-from .errors import CurlicueError, InsufficientBandwidth, PrecisionExceeded, UnderSampled, checked_int
+from .analysis import DEFAULT_EPSILON, DEFAULT_THRESHOLD, FactorReport, extract_factors, scan_pairs
+# scan_targets is not called here, but perfbench/tracing.py binds it in this module
+from .analysis import scan_targets  # noqa: F401
+from .errors import CurlicueError, InsufficientBandwidth, PrecisionExceeded, UnderSampled
 from .expsum import SumSpec
 from .interferometer import InterferometerConfig, NoiseModel, SpectralWindow, min_pixels, simulate
 # divisors_in_window is not called here, but perfbench/tracing.py binds it in this module
@@ -40,7 +42,6 @@ _TARGETS_BLOCK = 1 << 20  # characters of a --targets-file parsed at a time
 # longest target token: int() refuses more than 4,300 digits by default, so no longer token is
 # a target, and carrying one from block to block would copy it again per block
 _TOKEN_MAX = 1 << 20
-_SCAN_CHUNK = 65_536  # scan targets per scan_targets call
 # characters of scan reports per write, about 190 reports on the demo spectrum; a report is
 # never split, so a write holds at least one
 _WRITE_CHARS = 1 << 18
@@ -66,28 +67,25 @@ def _candidates_json(candidates, pad: str = "") -> str:
     return "[" + nl + text + nl + "]"
 
 
-def _report_encoder(report: FactorReport, pad: str = "") -> Callable[[FactorReport], str]:
-    """A function that writes a report as json.dumps(..., indent=2) with pad after every newline,
-    numbers as _candidates_json writes them, for every report that shares this one's q window,
-    candidates and params, as the reports of one scan_targets call do.
-
-    The shared text is formatted here, once; each report then formats only its n and factors.
+def _report_encoder(window, candidates, threshold, epsilon, pad: str = "") -> Callable[[int, tuple], str]:
+    """A function of (n, factors) that writes target n's report with this q window, candidates
+    and params (finite ints or floats) as json.dumps(..., indent=2) with pad after every newline,
+    numbers as _candidates_json writes them; the text every target shares is formatted here, once.
     """
-    nl, num, (lo, hi) = "\n" + pad, int.__repr__, report.q_window
-    params = report.diagnostics["threshold"], report.diagnostics["epsilon"]  # finite ints or floats
-    threshold, epsilon = [(num if isinstance(v, int) else float.__repr__)(v) for v in params]
+    nl, num, (lo, hi) = "\n" + pad, int.__repr__, window
+    threshold, epsilon = [(num if isinstance(v, int) else float.__repr__)(v) for v in (threshold, epsilon)]
     head = f'{{{nl}  "n": '
     middle = f',{nl}  "q_window": [{nl}    {num(lo)},{nl}    {num(hi)}{nl}  ],{nl}  "factors": '
     tail = (
-        f',{nl}  "candidates": {_candidates_json(report.candidates, pad)},'
+        f',{nl}  "candidates": {_candidates_json(candidates, pad)},'
         f'{nl}  "params": {{{nl}    "threshold": {threshold},{nl}    "epsilon": {epsilon}{nl}  }}{nl}}}'
     )
 
-    def encode(r: FactorReport) -> str:
-        if not r.factors:
-            return f"{head}{num(r.n)}{middle}[]{tail}"
-        factors = f",{nl}    ".join([f"[{nl}      {num(q)},{nl}      {num(c)}{nl}    ]" for q, c in r.factors])
-        return f"{head}{num(r.n)}{middle}[{nl}    {factors}{nl}  ]{tail}"
+    def encode(n: int, factors: tuple) -> str:
+        if not factors:
+            return f"{head}{num(n)}{middle}[]{tail}"
+        pairs = f",{nl}    ".join([f"[{nl}      {num(q)},{nl}      {num(c)}{nl}    ]" for q, c in factors])
+        return f"{head}{num(n)}{middle}[{nl}    {pairs}{nl}  ]{tail}"
 
     return encode
 
@@ -137,7 +135,8 @@ def _cmd_factor(args) -> int:
     ig = igio.read_interferogram(args.interferogram)
     report = extract_factors(ig, args.n, threshold=args.threshold, epsilon=args.epsilon)
     if args.format == "json":
-        print(_report_encoder(report)(report))
+        encode = _report_encoder(report.q_window, report.candidates, args.threshold, args.epsilon)
+        print(encode(report.n, report.factors))
     else:
         print(_report_text(report))
     return EXIT_OK if report.factors else EXIT_NO_FACTORS
@@ -184,27 +183,20 @@ def _cmd_scan(args) -> int:
             blocks = iter(lambda: listing.read(_TARGETS_BLOCK), "")
             targets = _parse_targets(blocks, f"--targets-file {args.targets_file}")
     ig = igio.read_interferogram(args.interferogram)
-    if targets and min(targets) < 4:
-        for n in targets:
-            checked_int(n, "target", lo=4)  # scan_targets' rule, before any chunk is written
-    # one scan_targets call per chunk: a bad spectrum fails the first call, before any output, and
-    # the reports of at most two chunks are held.  Their text goes out in writes bounded by size,
-    # not by count, since a report holds every candidate of the spectrum: at 10^6 targets, one
-    # 87 MB write per chunk peaked at 283 MB against 146 MB and made the loop 1.5-1.8x as slow
-    found, sep = False, "[\n  "
-    for start in range(0, max(len(targets), 1), _SCAN_CHUNK):  # no targets: one call, which refuses them
-        reports = scan_targets(ig, targets[start : start + _SCAN_CHUNK], args.threshold, args.epsilon)
-        encode = _report_encoder(reports[0], "  ")  # the chunk's reports differ only in n and factors
-        batch, size = [], 0
-        for i, report in enumerate(reports, 1):
-            batch.append(encode(report))
-            size += len(batch[-1])
-            if size >= _WRITE_CHARS or i == len(reports):
-                sys.stdout.write(sep + ",\n  ".join(batch))
-                sep, batch, size = ",\n  ", [], 0
-        found = found or any(r.factors for r in reports)
+    # one detection, gate and sieve over every target: a bad target or spectrum is refused before
+    # any output.  Each report's text, built from its n and pairs, goes out in writes bounded by
+    # size, not by count, since a report holds every candidate of the spectrum
+    targets, window, candidates, _, pairs = scan_pairs(ig, targets, args.threshold, args.epsilon)
+    encode = _report_encoder(window, candidates, args.threshold, args.epsilon, "  ")
+    sep, batch, size = "[\n  ", [], 0
+    for i, (n, factors) in enumerate(zip(targets, pairs), 1):
+        batch.append(encode(n, factors))
+        size += len(batch[-1])
+        if size >= _WRITE_CHARS or i == len(targets):
+            sys.stdout.write(sep + ",\n  ".join(batch))
+            sep, batch, size = ",\n  ", [], 0
     sys.stdout.write("\n]\n")
-    return EXIT_OK if found else EXIT_NO_FACTORS
+    return EXIT_OK if any(pairs) else EXIT_NO_FACTORS
 
 
 def _plan_payload(plan: MeasurementPlan, extra: dict) -> dict:

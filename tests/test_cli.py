@@ -6,11 +6,13 @@ import shlex
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import curlicue.analysis
 import curlicue.cli
 import curlicue.oracle
 from curlicue import FactorReport, PeakCandidate, divisors_in_window, read_interferogram, scan_targets, trial_division
@@ -301,12 +303,36 @@ def _scan_json(reports) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-# two targets with a pair among five without; chunks of three put the pairs in the last chunk
+def _encode(report, pad: str = "") -> str:
+    # a report's text as the CLI writes it, from the report's fields
+    params = report.diagnostics["threshold"], report.diagnostics["epsilon"]
+    return curlicue.cli._report_encoder(report.q_window, report.candidates, *params, pad)(report.n, report.factors)
+
+
+class _Discard:
+    """A stdout that keeps nothing."""
+
+    def write(self, text: str) -> int:
+        return len(text)
+
+    def flush(self) -> None:
+        pass
+
+
+def _seeded_targets(path: Path, count: int) -> Path:
+    rng = np.random.default_rng(29)
+    path.write_text("\n".join(map(str, rng.integers(4, 10**12, size=count).tolist())) + "\n")
+    return path
+
+
+# two targets with a pair among five without; writes of one report put the pairs in the last write
 SCAN_MISSES = [1308568, 1308571, 1299709, 1308569, 1308573]
 SCAN_PAIRS = [1308567, 1131 * 1000]
 
 
 class TestScanChunks:
+    # `scan` runs one pass over every target and writes its text in chunks of about
+    # _WRITE_CHARS characters, a report never split
     @pytest.mark.parametrize("batch", [1, 2, 256])
     @pytest.mark.parametrize("count", [1, 3, 4, 6, 7])
     def test_chunks_write_one_scan(self, demo_file, monkeypatch, capsys, count, batch):
@@ -314,17 +340,15 @@ class TestScanChunks:
         reports = scan_targets(read_interferogram(demo_file), targets)
         # a write ends once its text reaches the bound, and these reports differ in length by
         # less than the shortest one, so batch times the shortest puts batch reports in a write:
-        # one, several, or (at 256) the whole chunk
-        shortest = min(len(curlicue.cli._report_encoder(r, "  ")(r)) for r in reports)
-        monkeypatch.setattr(curlicue.cli, "_SCAN_CHUNK", 3)
+        # one, several, or (at 256) every one
+        shortest = min(len(_encode(r, "  ")) for r in reports)
         monkeypatch.setattr(curlicue.cli, "_WRITE_CHARS", batch * shortest)
         written, write = [], sys.stdout.write
         monkeypatch.setattr(sys.stdout, "write", lambda text: written.append(text.count('"n": ')) or write(text))
         argv = ["scan", "--interferogram", str(demo_file), "--targets", ",".join(map(str, targets))]
         assert main(argv) == 0
         assert capsys.readouterr().out == _scan_json(reports)
-        chunks = [min(3, count - start) for start in range(0, count, 3)]
-        assert written == [min(batch, c - k) for c in chunks for k in range(0, c, batch)] + [0]
+        assert written == [min(batch, count - k) for k in range(0, count, batch)] + [0]
 
     @pytest.mark.parametrize(
         "first, last, code",
@@ -332,19 +356,22 @@ class TestScanChunks:
         ids=["last-chunk-pair", "first-chunk-pair", "none"],
     )
     def test_exit_code_reads_every_chunk(self, demo_file, monkeypatch, capsys, first, last, code):
-        monkeypatch.setattr(curlicue.cli, "_SCAN_CHUNK", 3)
-        targets = [first] + SCAN_MISSES + [last]  # the last chunk holds one target
+        monkeypatch.setattr(curlicue.cli, "_WRITE_CHARS", 1)  # one report per write
+        targets = [first] + SCAN_MISSES + [last]
         assert not any(r.factors for r in scan_targets(read_interferogram(demo_file), SCAN_MISSES))
         argv = ["scan", "--interferogram", str(demo_file), "--targets", ",".join(map(str, targets))]
         assert main(argv) == code
         assert capsys.readouterr().out == _scan_json(scan_targets(read_interferogram(demo_file), targets))
 
     def test_bad_target_in_the_last_chunk_writes_nothing(self, demo_file, monkeypatch, capsys):
-        monkeypatch.setattr(curlicue.cli, "_SCAN_CHUNK", 3)
-        targets = SCAN_PAIRS + SCAN_MISSES + [3]
-        argv = ["scan", "--interferogram", str(demo_file), "--targets", ",".join(map(str, targets))]
-        assert main(argv) == 2
-        assert capsys.readouterr() == ("", "error: target must be an integer >= 4, got 3\n")
+        # and at every other position, also after the reports with a pair, in writes of one report
+        monkeypatch.setattr(curlicue.cli, "_WRITE_CHARS", 1)
+        good = SCAN_PAIRS + SCAN_MISSES
+        for at in range(len(good) + 1):
+            targets = good[:at] + [3] + good[at:]
+            argv = ["scan", "--interferogram", str(demo_file), "--targets", ",".join(map(str, targets))]
+            assert main(argv) == 2
+            assert capsys.readouterr() == ("", "error: target must be an integer >= 4, got 3\n")
 
     @pytest.mark.parametrize("block", [1, 2, 3, 7, 1 << 20])
     def test_targets_file_in_tiny_blocks(self, demo_file, tmp_path, monkeypatch, capsys, block):
@@ -420,6 +447,38 @@ class TestScanChunks:
         assert main(["scan", "--interferogram", str(demo_file), "--targets-file", str(listing)]) == 0
         assert [len(block) for block in parsed] == [64] * 12 + [32]
         capsys.readouterr()
+
+
+class TestScanOnePass:
+    def test_one_detection_and_no_report_objects(self, demo_file, tmp_path, monkeypatch):
+        # more targets than 2**16, and still one detection
+        listing = _seeded_targets(tmp_path / "targets.txt", 70_000)
+        detect, calls = curlicue.analysis.detect_peaks, []
+        monkeypatch.setattr(curlicue.analysis, "detect_peaks", lambda *a, **k: calls.append(1) or detect(*a, **k))
+        built = []
+        monkeypatch.setattr(curlicue.analysis, "FactorReport", lambda *a: built.append(1) or FactorReport(*a))
+        monkeypatch.setattr(sys, "stdout", _Discard())
+        assert main(["scan", "--interferogram", str(demo_file), "--targets-file", str(listing)]) == 0
+        assert (len(calls), len(built)) == (1, 0)
+
+    def test_memory_holds_no_report_per_target(self, demo_file, tmp_path, monkeypatch):
+        # the targets, their pairs and one write's text, not a report and two dicts per target
+        listing = _seeded_targets(tmp_path / "targets.txt", 20_000)
+        monkeypatch.setattr(sys, "stdout", _Discard())
+        tracemalloc.start()
+        try:
+            assert main(["scan", "--interferogram", str(demo_file), "--targets-file", str(listing)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * 2**20
+
+    def test_targets_past_int64_match_the_library(self, demo_file, capsys):
+        # 1131 * 2**63 takes the sieve's object-dtype path
+        targets = [1308567, 1131 * 2**63, 2**63 - 1]
+        argv = ["scan", "--interferogram", str(demo_file), "--targets", ",".join(map(str, targets))]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == _scan_json(scan_targets(read_interferogram(demo_file), targets))
 
 
 class TestPlan:
@@ -710,23 +769,19 @@ def test_candidates_json_is_json_dumps(kind, pad):
     assert curlicue.cli._candidates_json(candidates, pad) == want
     # and the whole report around that list, as _cmd_factor (pad "") and _cmd_scan ("  ") write it
     params = {"threshold": fields["threshold"], "epsilon": fields["epsilon"]}
-    report = FactorReport(fields["n"], fields["window"], candidates, fields["factors"], {**params, "counts": {}})
     whole = {
-        "n": report.n,
-        "q_window": list(report.q_window),
-        "factors": [list(pair) for pair in report.factors],
+        "n": fields["n"],
+        "q_window": list(fields["window"]),
+        "factors": [list(pair) for pair in fields["factors"]],
         "candidates": payload,
         "params": params,
     }
     want = json.dumps(whole, indent=2).replace("\n", "\n" + pad)
-    encode = curlicue.cli._report_encoder(report, pad)
-    assert encode(report) == want
-    # an encoder formats only n and factors per report: one built from a report of the same
-    # q window, candidates and params writes this one too
-    other = FactorReport(2**65 + 3, report.q_window, candidates, ((7, 11),), dict(report.diagnostics))
-    assert curlicue.cli._report_encoder(other, pad)(report) == want
-    want = json.dumps({**whole, "n": other.n, "factors": [[7, 11]]}, indent=2).replace("\n", "\n" + pad)
-    assert encode(other) == want
+    encode = curlicue.cli._report_encoder(fields["window"], candidates, *params.values(), pad)
+    assert encode(fields["n"], fields["factors"]) == want
+    # an encoder formats only n and factors per target: the same one writes another target too
+    want = json.dumps({**whole, "n": 2**65 + 3, "factors": [[7, 11]]}, indent=2).replace("\n", "\n" + pad)
+    assert encode(2**65 + 3, ((7, 11),)) == want
 
 
 # every subcommand's flags as the parser defined them before the shared flags moved into
