@@ -26,6 +26,10 @@ GENERATOR_VERSION = "curlicue-sim/1"
 # kernel's temporaries stay cache-sized instead of spanning the grid.
 _GRID_BLOCK = 8192
 
+# Interferogram checks the wavelength order over slices of this many pairs, so the
+# comparison's boolean temporary is at most 256 KiB at any pixel count.
+_ORDER_SLICE = 1 << 18
+
 _PURPOSE_MIRROR = 1
 _PURPOSE_DETECTOR = 2
 
@@ -158,8 +162,10 @@ class Interferogram:
         if len(samples) < 2:
             raise ValueError("an interferogram needs at least 2 samples")
         lam, inten = samples.T
-        # a strictly increasing column holds no NaN, so it is finite if its last value is; min/max keep NaN
-        if not (lam[0] > 0 and math.isfinite(lam[-1]) and np.all(lam[1:] > lam[:-1])):
+        # a strictly increasing column holds no NaN, so it is finite if its last value is; min/max keep NaN.
+        # Neighbouring slices share one wavelength, so every pair is compared
+        slices = (lam[i : i + _ORDER_SLICE + 1] for i in range(0, len(lam) - 1, _ORDER_SLICE))
+        if not (lam[0] > 0 and math.isfinite(lam[-1]) and all((w[1:] > w[:-1]).all() for w in slices)):
             raise ValueError("sample wavelengths must be finite, positive and strictly increasing")
         if not (inten.min() >= 0 and math.isfinite(inten.max())):
             raise ValueError("intensities must be finite and >= 0")
@@ -288,7 +294,8 @@ def simulate(
 
     Memory: the samples (16 B per pixel), filled in place with five float64 work
     columns of one block (at most 320 KiB), which are freed before the samples
-    are checked; the checks add one boolean per pixel.
+    are checked; the order check adds one boolean per pixel of a 2**18-pixel slice
+    (256 KiB).
     """
     if noise is None:
         noise = _NOISELESS

@@ -24,7 +24,14 @@ from curlicue import (
     plan_single_number,
     simulate,
 )
-from curlicue.interferometer import _GRID_BLOCK, _PURPOSE_DETECTOR, _PURPOSE_MIRROR, _pixel_centers, _stream
+from curlicue.interferometer import (
+    _GRID_BLOCK,
+    _ORDER_SLICE,
+    _PURPOSE_DETECTOR,
+    _PURPOSE_MIRROR,
+    _pixel_centers,
+    _stream,
+)
 from conftest import DEMO_WINDOW, DEMO_X_NM
 
 
@@ -105,7 +112,7 @@ class TestNoiselessSimulation:
 def test_simulate_holds_only_its_samples_at_peak(noise):
     # each block's pixel centres go straight into the samples, detector noise is drawn block by
     # block, and the Interferogram takes the filled array without a copy, so the peak is the
-    # samples, the validation's boolean temporaries and block-sized ones; a constructor copy
+    # samples, the order check's slice-sized boolean and block-sized temporaries; a constructor copy
     # would make it 2.1x, and so would whole-grid centres (with their temporaries), and a
     # whole-grid detector draw would add 0.5x (8 B per pixel against 16)
     config = InterferometerConfig(2.9e6, SumSpec(3, 2))
@@ -243,8 +250,9 @@ def test_no_work_state_carries_over_between_calls():
 
 
 def test_simulate_frees_its_work_columns_before_the_checks():
-    # the peak is the samples and _validate's one boolean per pixel (1.0625x); the kernel's five
-    # block-long work columns (320 KiB) held through the checks would come on top, about 1.073x
+    # the peak is the samples and the order check's boolean over one slice of 2**18 pixels (256 KiB,
+    # 1.010x); the kernel's five block-long work columns (320 KiB) held through the checks would
+    # come on top, about 1.018x
     config = InterferometerConfig(2.9e6, SumSpec(3, 2))
     window = SpectralWindow(400.0, 800.0, 2_000_000)
     simulate(config, SpectralWindow(400.0, 800.0, 16), allow_undersampled=True)
@@ -254,7 +262,7 @@ def test_simulate_frees_its_work_columns_before_the_checks():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.07 * ig.samples.nbytes, peak / ig.samples.nbytes
+    assert peak <= 1.015 * ig.samples.nbytes, peak / ig.samples.nbytes
 
 
 def test_cos_and_sin_of_the_phase_are_the_complex_exponential():
@@ -450,6 +458,21 @@ class TestInterferogramType:
         with pytest.raises(FileFormatError) as read:
             loads_interferogram(text)
         assert str(built.value) == str(read.value) == message
+
+    @pytest.mark.parametrize("at", [_ORDER_SLICE - 1, _ORDER_SLICE])
+    @pytest.mark.parametrize("step", [0.0, -1.0])
+    def test_order_is_checked_across_the_slice_edge(self, demo_spec, at, step):
+        # the pair (at, at + 1) is the last of the first slice or the first of the second
+        lam = 400.0 + np.arange(_ORDER_SLICE + 2, dtype=np.float64)
+        lam[at + 1 :] -= lam[at + 1] - lam[at] - step
+        rows = np.column_stack([lam, np.full_like(lam, 0.5)])
+        text = "# curlicue-interferogram v1\n# x_nm=1.0\n# M=3\n# d=2\nlambda_nm,intensity\n"
+        text += "".join(f"{v!r},0.5\n" for v in lam.tolist())
+        with pytest.raises(ValueError) as built:
+            Interferogram(1.0, demo_spec, rows)
+        with pytest.raises(FileFormatError) as read:
+            loads_interferogram(text)
+        assert str(built.value) == str(read.value) == _BAD_WAVELENGTHS
 
     @pytest.mark.parametrize("x_nm", [0.0, -5.0, math.inf, math.nan])
     def test_rejects_bad_displacement(self, demo_spec, x_nm):
