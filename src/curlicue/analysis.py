@@ -189,8 +189,8 @@ def scan_pairs(
     span = SpectralWindow(*ig.wavelengths()[[0, -1]].tolist())
     q_lo, q_hi = window = q_window(ig.displacement_unit_nm, span)
     in_window = tuple(p for p in peaks if q_lo <= p.q <= q_hi)
-    gated = [p for p in in_window if abs(p.residual) <= epsilon]
-    pairs = _divisor_pairs(target_list, [p.q for p in reversed(gated)])  # distinct q, ascending
+    gated = [p.q for p in reversed(in_window) if abs(p.residual) <= epsilon]  # distinct q, ascending
+    pairs = _divisor_pairs(target_list, gated)
     return target_list, window, in_window, (len(peaks), len(in_window), len(gated)), pairs
 
 

@@ -17,9 +17,9 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from . import io as igio
 from . import plotting
-from .analysis import DEFAULT_EPSILON, DEFAULT_THRESHOLD, FactorReport, extract_factors, scan_pairs
-# scan_targets is not called here, but perfbench/tracing.py binds it in this module
-from .analysis import scan_targets  # noqa: F401
+from .analysis import DEFAULT_EPSILON, DEFAULT_THRESHOLD, scan_pairs
+# extract_factors and scan_targets are not called here, but perfbench/tracing.py binds both in this module
+from .analysis import extract_factors, scan_targets  # noqa: F401
 from .errors import CurlicueError, InsufficientBandwidth, PrecisionExceeded, UnderSampled
 from .expsum import SumSpec
 from .interferometer import InterferometerConfig, NoiseModel, SpectralWindow, min_pixels, simulate
@@ -90,18 +90,14 @@ def _report_encoder(window, candidates, threshold, epsilon, pad: str = "") -> Ca
     return encode
 
 
-def _report_text(report: FactorReport) -> str:
-    lines = [f"n = {report.n}", f"q window: [{report.q_window[0]}, {report.q_window[1]}]"]
-    if report.factors:
-        for q, c in report.factors:
-            lines.append(f"factor: {q} x {c}")
-    else:
-        lines.append("no factors found")
-    for cand in report.candidates:
-        lines.append(
-            f"peak: q={cand.q} lambda={cand.lambda_peak_nm:.6f} nm "
-            f"intensity={cand.intensity_peak:.6f} residual={cand.residual:+.6f}"
-        )
+def _report_text(n: int, window, candidates, factors) -> str:
+    lines = [f"n = {n}", f"q window: [{window[0]}, {window[1]}]"]
+    lines += [f"factor: {q} x {c}" for q, c in factors] or ["no factors found"]
+    lines += [
+        f"peak: q={c.q} lambda={c.lambda_peak_nm:.6f} nm "
+        f"intensity={c.intensity_peak:.6f} residual={c.residual:+.6f}"
+        for c in candidates
+    ]
     return "\n".join(lines)
 
 
@@ -133,13 +129,13 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_factor(args) -> int:
     ig = igio.read_interferogram(args.interferogram)
-    report = extract_factors(ig, args.n, threshold=args.threshold, epsilon=args.epsilon)
+    # scan with one target: the same pass, checks and report encoder as _cmd_scan
+    (n,), window, candidates, _, (factors,) = scan_pairs(ig, [args.n], args.threshold, args.epsilon)
     if args.format == "json":
-        encode = _report_encoder(report.q_window, report.candidates, args.threshold, args.epsilon)
-        print(encode(report.n, report.factors))
+        print(_report_encoder(window, candidates, args.threshold, args.epsilon)(n, factors))
     else:
-        print(_report_text(report))
-    return EXIT_OK if report.factors else EXIT_NO_FACTORS
+        print(_report_text(n, window, candidates, factors))
+    return EXIT_OK if factors else EXIT_NO_FACTORS
 
 
 def _parse_targets(blocks: Iterable[str], source: str) -> list[int]:

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import PrecisionExceeded, checked_int
+from .errors import PrecisionExceeded, checked_int, checked_reach
 
 # Above this magnitude a float64 leaves fewer than ~12 bits for the
 # fractional residual, so the integer/residual split stops being meaningful.
@@ -71,11 +71,13 @@ def evaluate(spec: SumSpec, xi: float) -> complex:
     Each arm phase m**d * xi is reduced modulo 1 in two exact steps (xi to
     its residual, then the integer-scaled residual to its own) before the
     2*pi multiply, which keeps the phase accurate even for large xi.
+    OutOfRange when an arm's m**d leaves float64 (from d = 1024 at M = 3).
     """
     tau = math.remainder(float(xi), 1.0)
     total = 0j
     for m in range(spec.path_count):
-        u = math.remainder(m**spec.order * tau, 1.0)
+        c = checked_reach(lambda: float(m**spec.order), "the arm coefficient m**d")
+        u = math.remainder(c * tau, 1.0)
         total += cmath.exp(1j * (_TWO_PI * u))
     return total / spec.path_count
 
@@ -98,11 +100,14 @@ def main_lobe_halfwidth(spec: SumSpec) -> float:
     There is no closed form for general (M, d); the crossing is bracketed by
     an outward scan from 0 and then bisected.  The second-order expansion of
     |s|**2 around 0 sets the scan step, so narrow lobes at large M or d are
-    not stepped over.
+    not stepped over.  OutOfRange when the mean or the variance of the arm
+    coefficients m**d leaves float64 (from d = 513 at M = 3).
     """
     coeffs = [m**spec.order for m in range(spec.path_count)]
-    mean = sum(coeffs) / spec.path_count
-    var = sum(c * c for c in coeffs) / spec.path_count - mean * mean
+    mean = checked_reach(lambda: sum(coeffs) / spec.path_count, "the mean of the arm coefficients m**d")
+    var = checked_reach(
+        lambda: sum(c * c for c in coeffs) / spec.path_count - mean * mean, "the variance of the arm coefficients m**d"
+    )
     scale = math.sqrt(0.5) / (_TWO_PI * math.sqrt(var))
     step = min(scale / 8.0, 0.01)
     lo = 0.0

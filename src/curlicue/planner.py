@@ -127,11 +127,15 @@ def _schedule(
 
 
 def plan_single_number(n: int, window: SpectralWindow) -> MeasurementPlan:
-    """Schedule covering every trial factor in [1, sqrt(n)] for one target.
+    """Schedule of runs over the trial factors [1, sqrt(n)] of one target.
 
     Run i uses x_i = n*lambda_min / beta**i, so run i covers the ratio
-    interval [beta**i, beta**(i+1)] and consecutive runs tile [1, sqrt(n)]
-    with no gaps (the last run may overshoot by up to one beta factor).
+    interval [beta**i, beta**(i+1)] and consecutive runs meet end to end
+    over [1, sqrt(n)] (the last run may overshoot by up to one beta factor).
+    They do not overlap, so a trial factor at a seam beta**i lies on a window
+    edge of both runs and is a strict interior maximum of neither: neither
+    run shows it.  Over 400-800 nm (beta = 2) no run of the plan for
+    10006 = 2 * 5003 gives a pair.
     """
     checked_int(n, "n", lo=4)
     checked_reach(lambda: n * window.lambda_max_nm, "n*lambda_max")

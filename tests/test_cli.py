@@ -15,7 +15,15 @@ import pytest
 import curlicue.analysis
 import curlicue.cli
 import curlicue.oracle
-from curlicue import FactorReport, PeakCandidate, divisors_in_window, read_interferogram, scan_targets, trial_division
+from curlicue import (
+    FactorReport,
+    PeakCandidate,
+    divisors_in_window,
+    extract_factors,
+    read_interferogram,
+    scan_targets,
+    trial_division,
+)
 from curlicue.cli import build_parser, main
 
 DEMO_FLAGS = [
@@ -135,6 +143,17 @@ class TestSimulate:
         assert captured.err == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("order, what", [("600", "variance"), ("2000", "mean")])
+    def test_huge_order_is_exit_two(self, tmp_path, capsys, order, what):
+        # the main lobe's width needs the variance of m**d, which leaves float64 from d = 513
+        out = tmp_path / "o.csv"
+        argv = ["simulate", "--x", "1000", "--lambda-min", "400", "--lambda-max", "800", "--order", order]
+        assert main(argv + ["--out", str(out), "--plot", str(tmp_path / "o.svg")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: the {what} of the arm coefficients m**d is outside the float64 range\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_noiseless_run_records_its_seed(self, demo_file, tmp_path):
         out = tmp_path / "seeded.csv"
         assert main(DEMO_FLAGS + ["--seed", "7", "--out", str(out)]) == 0
@@ -201,6 +220,46 @@ class TestFactor:
         lines = capsys.readouterr().out.splitlines()
         assert lines[:3] == ["n = 1308568", "q window: [1130, 1136]", "no factors found"]
         assert len(lines) == 3 + 7 and all(line.startswith("peak: q=") for line in lines[3:])
+
+    @pytest.mark.parametrize(
+        "n, code, digest",
+        [
+            ("1308567", 0, "105a799834f52320cf682ce49c499429e588d6d293649c4a8fe5ef00162f2f48"),
+            ("1308568", 1, "226d978a8c8ea1d75688096b0c8ff6a62b79f889b156c1151eb1e63b5c0b4c77"),
+        ],
+    )
+    def test_text_bytes(self, demo_file, capsys, n, code, digest):
+        # the text report as written from a FactorReport, before factor ran scan_pairs
+        assert main(["factor", "--interferogram", str(demo_file), "--n", n, "--format", "text"]) == code
+        assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
+
+    @pytest.mark.parametrize("n", [1308567, 1306349, 1308568, 1131 * 2**63, 2**63 - 1])
+    def test_reports_match_the_library(self, demo_file, capsys, n):
+        report = extract_factors(read_interferogram(demo_file), n)
+        argv = ["factor", "--interferogram", str(demo_file), "--n", str(n)]
+        assert main(argv) == (0 if report.factors else 1)
+        assert capsys.readouterr().out == _encode(report) + "\n"
+        assert main(argv + ["--format", "text"]) == (0 if report.factors else 1)
+        lines = [f"n = {report.n}", f"q window: [{report.q_window[0]}, {report.q_window[1]}]"]
+        lines += [f"factor: {q} x {c}" for q, c in report.factors] or ["no factors found"]
+        lines += [
+            f"peak: q={c.q} lambda={c.lambda_peak_nm:.6f} nm "
+            f"intensity={c.intensity_peak:.6f} residual={c.residual:+.6f}"
+            for c in report.candidates
+        ]
+        assert capsys.readouterr().out == "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_one_pass_and_no_report_objects(self, demo_file, monkeypatch, capsys, fmt):
+        # factor is scan with one target: one scan_pairs call, one detection, no FactorReport
+        calls = []
+        scan, detect = curlicue.cli.scan_pairs, curlicue.analysis.detect_peaks
+        monkeypatch.setattr(curlicue.cli, "scan_pairs", lambda *a, **k: calls.append("scan") or scan(*a, **k))
+        monkeypatch.setattr(curlicue.analysis, "detect_peaks", lambda *a, **k: calls.append("detect") or detect(*a, **k))
+        monkeypatch.setattr(curlicue.analysis, "FactorReport", lambda *a: calls.append("report") or FactorReport(*a))
+        assert main(["factor", "--interferogram", str(demo_file), "--n", "1308567", "--format", fmt]) == 0
+        assert "1157" in capsys.readouterr().out
+        assert calls == ["scan", "detect"]
 
     def test_json_is_byte_stable(self, demo_file, capsys):
         main(["factor", "--interferogram", str(demo_file), "--n", "1308567"])
@@ -547,6 +606,16 @@ class TestPlan:
         assert code == 0
         assert payload["factors"] == [[97, 97]]
 
+
+    @pytest.mark.parametrize("order, what", [("600", "variance"), ("2000", "mean")])
+    def test_huge_order_leaves_no_configs(self, tmp_path, capsys, order, what):
+        run_dir = tmp_path / "runs"
+        assert main(["plan", "--n", "9409", "--lambda-min", "400", "--lambda-max", "800", "--order", order,
+                     "--emit-configs", str(run_dir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: the {what} of the arm coefficients m**d is outside the float64 range\n"
+        assert not run_dir.exists()
 
     def test_emit_configs_after_every_run_is_planned(self, tmp_path, capsys):
         # min_pixels refuses this window, so no directory may be left behind

@@ -6,6 +6,7 @@ import pytest
 
 from curlicue import (
     PRECISION_CEILING,
+    OutOfRange,
     PhaseDecomposition,
     PrecisionExceeded,
     SumSpec,
@@ -179,6 +180,35 @@ class TestMainLobeHalfwidth:
 
     def test_more_paths_narrow(self):
         assert main_lobe_halfwidth(SumSpec(8, 2)) < main_lobe_halfwidth(SumSpec(3, 2))
+
+    # at M = 3 the variance of the coefficients m**d leaves float64 from d = 513, their mean from
+    # d = 1026, and the last arm's 2**d itself from d = 1024
+    @pytest.mark.parametrize("order, what", [(513, "variance"), (600, "variance"), (1026, "mean"), (2000, "mean")])
+    def test_huge_order_is_out_of_range(self, order, what):
+        with pytest.raises(OutOfRange, match=f"^the {what} of the arm coefficients m\\*\\*d is outside"):
+            main_lobe_halfwidth(SumSpec(3, order))
+
+    def test_largest_order_in_range(self):
+        assert 0.0 < main_lobe_halfwidth(SumSpec(3, 512)) < 1e-150
+
+
+class TestHugeOrder:
+    def test_spec_and_evaluate_below_the_float_limit(self):
+        # 2**600 * tau fits a float64, so d = 600 still evaluates
+        assert evaluate(SumSpec(3, 600), 0.0) == 1 + 0j
+        assert evaluate(SumSpec(3, 1023), 0.25) == pytest.approx((2 + 1j) / 3, abs=1e-15)
+
+    @pytest.mark.parametrize("order", [1024, 2000])
+    def test_evaluate_refuses_a_coefficient_past_float64(self, order):
+        spec = SumSpec(3, order)  # the spec itself stays valid
+        with pytest.raises(OutOfRange, match="the arm coefficient m\\*\\*d"):
+            evaluate(spec, 0.25)
+        with pytest.raises(OutOfRange):
+            intensity(spec, 0.0)
+
+    def test_nan_still_evaluates_to_nan(self):
+        z = evaluate(SumSpec(3, 2), float("nan"))
+        assert math.isnan(z.real) and math.isnan(z.imag)
 
 
 class TestSumSpecValidation:

@@ -7,14 +7,19 @@ import pytest
 from curlicue import (
     DegenerateBandwidth,
     InsufficientBandwidth,
+    InterferometerConfig,
     PlanRun,
     SpectralWindow,
+    SumSpec,
     bandwidth_summary,
     displacement_estimate,
+    extract_factors,
     factorable_range,
     max_displacement,
+    min_pixels,
     plan_number_range,
     plan_single_number,
+    simulate,
 )
 from curlicue.planner import MAX_RUNS
 
@@ -127,6 +132,34 @@ class TestPlanSingleNumber:
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
             plan_single_number(3, LAMP)
+
+
+class TestPlanSeams:
+    """The single-number plan at beta = 2 puts every seam beta**i on a trial factor.
+
+    Run i covers trial factors [2**i, 2**(i + 1)], so the seam 2**i sits on a window edge of
+    runs i - 1 and i; pixel centres lie half a step inside the window and a peak must be a strict
+    interior maximum, so neither run shows it.  These pin the defect until the planner overlaps
+    its seams.
+    """
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="run 0 covers trial factors [1, 2] only")
+    @pytest.mark.parametrize("n", [100, 9409, 10006])
+    def test_no_run_covers_only_trial_factors_up_to_two(self, n):
+        assert all(run.xi_hi > 2.0 for run in plan_single_number(n, LAMP).runs)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="the trial factor 2 is the seam of runs 0 and 1")
+    @pytest.mark.parametrize("n", [10006, 10012])
+    def test_every_run_at_min_pixels_shows_the_factor_two(self, n):
+        # 10006 = 2 * 5003 and 10012 = 2**2 * 2503: each divisor up to sqrt(n), 2 (and 4), is a
+        # seam, so today no run gives a pair and factor exits 1 on each (about 1.06M px per target)
+        spec = SumSpec(3, 2)
+        found = set()
+        for run in plan_single_number(n, LAMP).runs:
+            config = InterferometerConfig(displacement_unit_nm=run.x_nm, sum_spec=spec)
+            window = SpectralWindow(LAMP.lambda_min_nm, LAMP.lambda_max_nm, min_pixels(config, LAMP))
+            found.update(d for pair in extract_factors(simulate(config, window), n).factors for d in pair)
+        assert 2 in found
 
 
 def test_pinned_schedules():
