@@ -191,7 +191,10 @@ class Interferogram:
 def path_length(config: InterferometerConfig, m: int) -> float:
     """Optical length r + (m-1)**d * x of arm m, 1-based."""
     checked_int(m, "arm index", 1, config.sum_spec.path_count, error=IndexOutOfRange)
-    return config.reference_length_nm + (m - 1) ** config.sum_spec.order * config.displacement_unit_nm
+    return checked_reach(
+        lambda: config.reference_length_nm + (m - 1) ** config.sum_spec.order * config.displacement_unit_nm,
+        "the arm length r + (m-1)**d * x",
+    )
 
 
 def min_pixels(config: InterferometerConfig, window: SpectralWindow) -> int:

@@ -60,6 +60,7 @@ SPEC = SumSpec(3, 2)
         (lambda: plan_single_number(9409, SpectralWindow(1e-300, 1e300)), OutOfRange),
         (lambda: plan_number_range(4, 5, SpectralWindow(1e-300, 1e300)), OutOfRange),
         (lambda: plan_number_range(10**4, 10**4 + 1, SpectralWindow(1e-300, 1e5)), OutOfRange),
+        (lambda: path_length(InterferometerConfig(1000.0, SumSpec(3, 2000)), 3), OutOfRange),
     ],
     ids=[
         "bool-x", "bool-r", "bool-q-window-x", "bool-lambda", "bool-lo", "bool-hi", "bool-arm",
@@ -68,6 +69,7 @@ SPEC = SumSpec(3, 2)
         "q-window-tiny-lambda", "min-pixels-zero-divisor", "min-pixels-overflow", "min-pixels-square-overflow",
         "max-displacement-overflow", "factorable-n-min-overflow", "factorable-n-max-inf",
         "beta-inf", "beta-squared-inf", "plan-beta-inf", "plan-range-beta-inf", "plan-range-gamma-inf",
+        "path-length-overflow",
     ],
 )
 def test_one_rule_for_every_argument(call, expected):

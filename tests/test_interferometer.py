@@ -12,6 +12,7 @@ from curlicue import (
     Interferogram,
     InterferometerConfig,
     NoiseModel,
+    OutOfRange,
     SpectralWindow,
     SumSpec,
     UnderSampled,
@@ -50,6 +51,23 @@ class TestPathLength:
     def test_index_out_of_range(self, demo_config, m):
         with pytest.raises(IndexOutOfRange):
             path_length(demo_config, m)
+
+    @pytest.mark.parametrize(
+        "order, x",
+        [
+            (2000, 1000.0),  # (m-1)**d is an int too big for a float
+            (1000, 1e10),  # (m-1)**d fits in a float, its product with x does not
+        ],
+    )
+    def test_length_outside_float64_is_out_of_range(self, order, x):
+        config = InterferometerConfig(x, SumSpec(3, order))
+        with pytest.raises(OutOfRange, match=r"^the arm length r \+ \(m-1\)\*\*d \* x is outside"):
+            path_length(config, 3)
+        assert path_length(config, 1) == 0.0
+
+    def test_large_finite_length(self):
+        config = InterferometerConfig(1000.0, SumSpec(3, 1000))
+        assert path_length(config, 3) == float(2**1000) * 1000.0
 
 
 class TestGrid:

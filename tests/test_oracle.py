@@ -5,7 +5,7 @@ import time
 import pytest
 
 from curlicue import Factorization, OutOfRange, divisors_in_window, trial_division
-from curlicue.oracle import _SCAN_WIDTH
+from curlicue.oracle import _SCAN_WIDTH, _is_prime
 
 
 def is_prime_naive(n):
@@ -17,6 +17,44 @@ def is_prime_naive(n):
             return False
         f += 1
     return True
+
+
+def is_prime_12_bases(n):
+    """Miller-Rabin over the first 12 prime bases, exact below 3.18e23: the oracle's test
+    before it took Sinclair's seven bases."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    for p in bases:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+# OEIS A014233 below 2**63: the smallest odd composites that are strong pseudoprimes to every
+# one of the first 1, 2, ..., 12 prime bases (3825123056546413051 holds for bases up to 23)
+STRONG_PSEUDOPRIMES = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    3825123056546413051,
+)
 
 
 def reference_trial_division(n):
@@ -89,6 +127,75 @@ class TestAgainstReference:
         fact, seconds = timed(trial_division, n)
         assert fact.prime_powers == powers
         assert seconds < 0.5
+
+
+class TestSevenBases:
+    def test_every_n_below_two_times_ten_to_the_five(self):
+        for n in range(2, 2 * 10**5):
+            assert _is_prime(n) == is_prime_12_bases(n), n
+
+    @pytest.mark.parametrize("n,prime", [(73, True), (193, True), (14089, False), (407521, True), (299210837, True)])
+    def test_n_that_divides_a_base(self, n, prime):
+        # each divides 28178 = 2*73*193, 9780504 = 2**3*3*407521 or 1795265022 = 2*3*299210837,
+        # so that base is skipped; 14089 = 73*193 is composite
+        assert any(a % n == 0 for a in (28178, 9780504, 1795265022))
+        assert _is_prime(n) == is_prime_12_bases(n) == prime
+
+    @pytest.mark.parametrize("n", STRONG_PSEUDOPRIMES)
+    def test_strong_pseudoprimes(self, n):
+        assert not _is_prime(n)
+        assert not is_prime_12_bases(n)
+
+    def test_largest_prime_below_two_to_the_63(self):
+        assert _is_prime(2**63 - 25) and is_prime_12_bases(2**63 - 25)
+        assert not any(_is_prime(n) for n in range(2**63 - 24, 2**63))
+
+    def test_seeded_odd_n_up_to_two_to_the_63(self):
+        rng = random.Random(32)
+        for _ in range(2 * 10**4):
+            n = rng.randrange(3, 2**63, 2)
+            assert _is_prime(n) == is_prime_12_bases(n), n
+
+
+def primes_in_class(r, count, start):
+    """The first count primes p >= start with p % 30 == r."""
+    found = []
+    p = start + (r - start) % 30
+    while len(found) < count:
+        if is_prime_naive(p):
+            found.append(p)
+        p += 30
+    return found
+
+
+class TestWheel:
+    @pytest.mark.parametrize("r", [1, 7, 11, 13, 17, 19, 23, 29, 2, 3, 5])
+    def test_prime_powers_in_every_class_mod_30(self, r):
+        # the residues coprime to 30 hold every prime above 5; 2, 3 and 5 are their own classes
+        primes = [r] if r in (2, 3, 5) else primes_in_class(r, 3, 7) + primes_in_class(r, 2, 10**5)
+        for p in primes:
+            k = 1
+            while p**k < 2**63:
+                for n in (p**k, 7 * p**k, 30 * p**k):
+                    if n < 2**63:
+                        assert trial_division(n) == reference_trial_division(n), n
+                k += 1
+
+    def test_powers_of_five(self):
+        for k in range(1, 28):
+            for n in (5**k, 2 * 5**k, 3 * 5**k, 5**k * 7, 5**k * 31, 5**k * 49):
+                if n < 2**63:
+                    fact = trial_division(n)
+                    assert fact == reference_trial_division(n), n
+                    assert (5, k) in fact.prime_powers
+
+    def test_products_across_the_wheel(self):
+        # two primes from each class, multiplied in pairs, so each turn's chain is cut at every slot
+        reps = [p for r in (1, 7, 11, 13, 17, 19, 23, 29) for p in primes_in_class(r, 2, 31)]
+        for p in reps:
+            for q in reps:
+                n = p * q * 1009
+                assert trial_division(n) == reference_trial_division(n), (p, q)
 
 
 class TestTrialDivision:
