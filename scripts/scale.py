@@ -43,8 +43,8 @@ runs `curlicue simulate @run_K.args --out run.csv` and `curlicue factor
 --interferogram run.csv --n N`, each in a fresh process, and reports each command's
 exit code, wall time and peak RSS (`ru_maxrss`). A last process simulates the run
 again in the library, hashes its samples, frees them, reads run.csv back and hashes
-those. The largest run of a seven-digit plan holds about 0.86 GB of samples: its
-`factor` needs about twice that.
+those. The largest run of a seven-digit plan, run 0, holds about 0.43 GB of samples:
+its `factor` needs about twice that.
 
 `tests/test_scripts.py` runs each mode at a small size.
 """

@@ -195,41 +195,44 @@ def _cmd_scan(args) -> int:
     return EXIT_OK if any(pairs) else EXIT_NO_FACTORS
 
 
-def _plan_payload(plan: MeasurementPlan, extra: dict) -> dict:
-    runs = [{"x_nm": r.x_nm, "xi_lo": r.xi_lo, "xi_hi": r.xi_hi} for r in plan.runs]
-    return {**extra, "scheme": plan.scheme, "ratio": plan.ratio, "n_runs": plan.n_runs, "runs": runs}
+def _plan_payload(plan: MeasurementPlan, pixels: list[int], extra: dict) -> dict:
+    runs = [{"x_nm": r.x_nm, "xi_lo": r.xi_lo, "xi_hi": r.xi_hi, "pixels": p} for r, p in zip(plan.runs, pixels)]
+    return {
+        **extra, "scheme": plan.scheme, "ratio": plan.ratio, "overlap": plan.overlap, "n_runs": plan.n_runs,
+        "total_pixels": sum(pixels), "runs": runs,
+    }
 
 
 def _cmd_plan(args) -> int:
     window = SpectralWindow(args.lambda_min, args.lambda_max)
+    spec = SumSpec(args.paths, args.order)
     if args.n is not None:
         if args.n_min is not None or args.n_max is not None:
             raise ValueError("give either --n or --n-min/--n-max, not both")
-        plan = plan_single_number(args.n, window)
+        plan = plan_single_number(args.n, window, spec)
         extra = {"n": args.n}
     else:
         if args.n_min is None or args.n_max is None:
             raise ValueError("need --n, or both --n-min and --n-max")
-        plan = plan_number_range(args.n_min, args.n_max, window)
+        plan = plan_number_range(args.n_min, args.n_max, window, spec)
         extra = {"n_min": args.n_min, "n_max": args.n_max}
-    spec = SumSpec(args.paths, args.order)
+    # each run's min_pixels, once, for the plan and its configs: a count outside float64 is refused
+    # before anything is written
+    pixels = [min_pixels(InterferometerConfig(run.x_nm, spec), window) for run in plan.runs]
     if args.emit_configs:
-        run_flags = []
-        for run in plan.runs:  # every run's flags first: a refused run leaves no directory
-            config = InterferometerConfig(displacement_unit_nm=run.x_nm, sum_spec=spec)
-            run_flags.append([
+        out_dir = Path(args.emit_configs)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for i, (run, count) in enumerate(zip(plan.runs, pixels)):
+            flags = [
                 "--x", repr(run.x_nm),
                 "--lambda-min", repr(float(args.lambda_min)),
                 "--lambda-max", repr(float(args.lambda_max)),
-                "--pixels", str(min_pixels(config, window)),
+                "--pixels", str(count),
                 "--paths", str(args.paths),
                 "--order", str(args.order),
-            ])
-        out_dir = Path(args.emit_configs)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for i, flags in enumerate(run_flags):
+            ]
             (out_dir / f"run_{i:03d}.args").write_text("\n".join(flags) + "\n", encoding="utf-8")
-    _print_json(_plan_payload(plan, extra))  # after the configs, so a failed run prints no plan
+    _print_json(_plan_payload(plan, pixels, extra))  # after the configs, so a failed write prints no plan
     return EXIT_OK
 
 

@@ -209,7 +209,7 @@ def test_range_scheme_factors_every_composite_in_the_range():
             found[rep.n].update(rep.factors)
     smallest = {n: trial_division(n).prime_powers[0][0] for n in targets}
     composites = [n for n in targets if smallest[n] < n]
-    assert (len(composites), plan.n_runs) == (446, 8)
+    assert (len(composites), plan.n_runs) == (446, 7)
     for n in targets:
         assert all(q * c == n for q, c in found[n])
         if n in composites:

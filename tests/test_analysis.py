@@ -27,7 +27,6 @@ from curlicue import (
     divisors_in_window,
     extract_factors,
     min_pixels,
-    plan_number_range,
     plan_single_number,
     q_window,
     rescale,
@@ -227,8 +226,9 @@ def _assert_candidate_order(peaks):
 
 
 def test_detect_peaks_order_on_a_planned_run():
+    # x = 9409 * 400 nm, 503,526 px at min_pixels
     lamp = SpectralWindow(400.0, 800.0)
-    config = InterferometerConfig(plan_single_number(9409, lamp).runs[0].x_nm, SumSpec(3, 2))
+    config = InterferometerConfig(3763600.0, SumSpec(3, 2))
     ig = simulate(config, SpectralWindow(400.0, 800.0, min_pixels(config, lamp)))
     want = reference_peaks(ig, 0.7)
     assert len(want) > 1000
@@ -689,9 +689,9 @@ def test_scan_of_a_flat_spectrum_matches_per_target_division():
 
 
 def test_scan_memory_is_linear_in_the_targets():
-    # run 0 of the [10000, 10500] range plan: 561,911 px and 5,249 gated ratios
+    # x = 10500 * 400 nm over 400-800 nm at min_pixels: 561,911 px and 5,249 gated ratios
     lamp = SpectralWindow(400.0, 800.0)
-    config = InterferometerConfig(plan_number_range(10_000, 10_500, lamp).runs[0].x_nm, SumSpec(3, 2))
+    config = InterferometerConfig(4200000.0, SumSpec(3, 2))
     ig = simulate(config, SpectralWindow(400.0, 800.0, min_pixels(config, lamp)))
     assert ig.samples.shape == (561_911, 2)
     peaks = []
@@ -717,9 +717,10 @@ def test_golden_reports(demo_config, demo_window):
     for noise in (None, NoiseModel(50.0, detector_sigma=0.02, seed=7)):
         ig = simulate(demo_config, demo_window, noise)
         digest.update(repr(scan_targets(ig, targets)).encode())
+    # the seven displacements 9409 * 400 nm / 2**i, each at min_pixels
     lamp = SpectralWindow(400.0, 800.0)
-    for run in plan_single_number(9409, lamp).runs:
-        config = InterferometerConfig(run.x_nm, SumSpec(3, 2))
+    for x_nm in [3763600.0 / 2**i for i in range(7)]:
+        config = InterferometerConfig(x_nm, SumSpec(3, 2))
         ig = simulate(config, SpectralWindow(400.0, 800.0, min_pixels(config, lamp)))
         digest.update(repr(extract_factors(ig, 9409)).encode())
     assert digest.hexdigest() == "b7d06e6de4f71918b01d886a4ab18034da0a4d4f03076b699e9ce33c584535b1"

@@ -17,9 +17,13 @@ import curlicue.cli
 import curlicue.oracle
 from curlicue import (
     FactorReport,
+    InterferometerConfig,
     PeakCandidate,
+    SpectralWindow,
+    SumSpec,
     divisors_in_window,
     extract_factors,
+    min_pixels,
     read_interferogram,
     scan_targets,
     trial_division,
@@ -546,9 +550,43 @@ class TestPlan:
             capsys, ["plan", "--n", "100", "--lambda-min", "400", "--lambda-max", "800"]
         )
         assert code == 0
-        assert payload["n_runs"] == 4
-        assert payload["runs"][0]["x_nm"] == 40000.0
+        assert payload["n_runs"] == 3
+        assert payload["runs"][0]["x_nm"] == 20443.497273848126
         assert payload["ratio"] == 2.0
+        assert payload["overlap"] == 0.022174863692406305
+
+    def test_pixels_are_each_runs_min_pixels(self, tmp_path, capsys):
+        run_dir = tmp_path / "runs"
+        code, payload = run_json(capsys, ["plan", "--n", "9409", "--lambda-min", "400", "--lambda-max", "800",
+                                          "--paths", "4", "--order", "3", "--emit-configs", str(run_dir)])
+        assert code == 0
+        spec, window = SumSpec(4, 3), SpectralWindow(400.0, 800.0)
+        pixels = [run["pixels"] for run in payload["runs"]]
+        assert pixels == [min_pixels(InterferometerConfig(run["x_nm"], spec), window) for run in payload["runs"]]
+        assert payload["total_pixels"] == sum(pixels)
+        # the configs carry the same counts
+        for i, count in enumerate(pixels):
+            flags = (run_dir / f"run_{i:03d}.args").read_text(encoding="utf-8").split()
+            assert flags[flags.index("--pixels") + 1] == str(count)
+
+    def test_half_the_pixels_of_a_plan_from_trial_factor_one(self, capsys):
+        # the end-to-end plan from trial factor 1 took 999,187 px for 9409, 503,526 of them in run 0
+        code, payload = run_json(capsys, ["plan", "--n", "9409", "--lambda-min", "400", "--lambda-max", "800"])
+        assert code == 0
+        assert payload["total_pixels"] == 497_849
+        assert payload["runs"][0]["pixels"] == 252_345
+
+    @pytest.mark.parametrize("emit", [False, True], ids=["plan", "emit-configs"])
+    def test_pixel_count_outside_float64_exits_two(self, tmp_path, capsys, emit):
+        # the plan itself is finite: 10**308 * 2e-10 nm; run 0's min_pixels is about 2.7e309
+        run_dir = tmp_path / "runs"
+        argv = ["plan", "--n", str(10**308), "--lambda-min", "1e-10", "--lambda-max", "2e-10"]
+        assert main(argv + (["--emit-configs", str(run_dir)] if emit else [])) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: the pixel count 4*x*(lambda_max - lambda_min)/(halfwidth*lambda_min**2) " \
+                               "is outside the float64 range\n"
+        assert not run_dir.exists()
 
     def test_range_gamma(self, capsys):
         code, payload = run_json(
@@ -557,7 +595,7 @@ class TestPlan:
         )
         assert code == 0
         assert payload["ratio"] == 2.0
-        assert payload["runs"][0]["x_nm"] == 100000.0
+        assert payload["runs"][0]["x_nm"] == 51108.74318462032
 
     def test_insufficient_bandwidth_exit_five(self, capsys):
         code = main(["plan", "--n-min", "100", "--n-max", "1000",
@@ -599,9 +637,9 @@ class TestPlan:
         assert code == 0
         capsys.readouterr()
         args_files = sorted(run_dir.glob("run_*.args"))
-        assert len(args_files) == 7
-        out = tmp_path / "run6.csv"
-        assert main(["simulate", f"@{args_files[6]}", "--out", str(out)]) == 0
+        assert len(args_files) == 6
+        out = tmp_path / "run5.csv"
+        assert main(["simulate", f"@{args_files[5]}", "--out", str(out)]) == 0
         code, payload = run_json(capsys, ["factor", "--interferogram", str(out), "--n", "9409"])
         assert code == 0
         assert payload["factors"] == [[97, 97]]
@@ -629,8 +667,8 @@ class TestPlan:
         digest = hashlib.sha256()
         for path in sorted(run_dir.iterdir()):
             digest.update(path.name.encode() + path.read_bytes())
-        # the files as written before the flags were computed ahead of the directory
-        assert digest.hexdigest() == "d14e8308dc725d09b2aa4fcfb3b2fa00cbdb98c55c5f4103321ab7766bd3d3ae"
+        # the files as written when the runs first started below trial factor 2
+        assert digest.hexdigest() == "e261c918bfda96491972bbe5a60431402bea0c2df2e4e3f7b910001c8688c59b"
 
 
 class TestPlot:
@@ -1066,7 +1104,7 @@ def test_readme_quick_start_runs_as_written(tmp_path, monkeypatch, capsys):
             expected.append([int(claim[1]), int(claim[2])])
             assert json.loads(out)["factors"] == [expected[-1]], command
     assert expected == [[1131, 1157], [1133, 1153], [97, 97]]
-    assert (tmp_path / "demo.svg").is_file() and (tmp_path / "run6.csv").is_file()
+    assert (tmp_path / "demo.svg").is_file() and (tmp_path / "run5.csv").is_file()
 
 
 class TestEntryPoint:

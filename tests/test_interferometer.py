@@ -285,8 +285,9 @@ def test_simulate_frees_its_work_columns_before_the_checks():
 
 def test_cos_and_sin_of_the_phase_are_the_complex_exponential():
     """simulate sums w*cos and w*sin of 2*pi*u where the reference sums w*exp(2j*pi*u)."""
+    # x = 9409 * 400 nm, 503,526 px at min_pixels
     lamp = SpectralWindow(400.0, 800.0)
-    config = InterferometerConfig(plan_single_number(9409, lamp).runs[0].x_nm, SumSpec(3, 2))
+    config = InterferometerConfig(3763600.0, SumSpec(3, 2))
     lam = SpectralWindow(400.0, 800.0, min_pixels(config, lamp)).pixel_centers()
     ratio = config.displacement_unit_nm / lam
     tau = ratio - np.round(ratio)

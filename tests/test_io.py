@@ -19,7 +19,6 @@ from curlicue import (
     interferogram_svg,
     loads_interferogram,
     min_pixels,
-    plan_single_number,
     read_interferogram,
     simulate,
     write_interferogram,
@@ -453,10 +452,9 @@ def test_c_reader_against_the_reference_parser():
 
 
 def test_cli_session_size_spectrum_round_trips_bit_for_bit():
-    # run 2 of the plan for 9401 over 400-800 nm at min_pixels: 125,775 rows, 4.7 MB of text
+    # x = 9401 * 400 nm / 4 over 400-800 nm at min_pixels: 125,775 rows, 4.7 MB of text
     window = SpectralWindow(400.0, 800.0)
-    run = plan_single_number(9401, window).runs[2]
-    config = InterferometerConfig(run.x_nm, SumSpec(3, 2))
+    config = InterferometerConfig(940100.0, SumSpec(3, 2))
     ig = simulate(config, SpectralWindow(400.0, 800.0, min_pixels(config, window)))
     parsed = loads_interferogram(dumps_interferogram(ig))
     assert len(ig.samples) > 125_000

@@ -10,7 +10,6 @@ from curlicue import (
     SumSpec,
     interferogram_svg,
     min_pixels,
-    plan_single_number,
     plotting,
     simulate,
 )
@@ -86,10 +85,9 @@ def _tricky_values():
 
 @pytest.fixture(scope="module")
 def cli_session_spectrum():
-    # run 2 of the plan for 9401 over 400-800 nm at min_pixels: 125,775 px
+    # x = 9401 * 400 nm / 4 over 400-800 nm at min_pixels: 125,775 px
     window = SpectralWindow(400.0, 800.0)
-    run = plan_single_number(9401, window).runs[2]
-    config = InterferometerConfig(run.x_nm, SumSpec(3, 2))
+    config = InterferometerConfig(940100.0, SumSpec(3, 2))
     return simulate(config, SpectralWindow(400.0, 800.0, min_pixels(config, window)))
 
 

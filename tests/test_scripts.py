@@ -41,8 +41,8 @@ def test_ladder_records(tmp_path):
 
 
 def test_run_records_and_hashes(tmp_path):
-    # plans through `python -m curlicue`, then simulates and factors run 6 of 9409 = 97 * 97
-    simulate, factor, hashes = _records(tmp_path, "run", "--n", 9409, "--run", 6)
+    # plans through `python -m curlicue`, then simulates and factors run 5 of 9409 = 97 * 97
+    simulate, factor, hashes = _records(tmp_path, "run", "--n", 9409, "--run", 5)
     assert list(simulate) == COMMAND_KEYS + ["file_mb"] and simulate["command"] == "simulate"
     assert list(factor) == COMMAND_KEYS and factor["command"] == "factor"
     assert simulate["exit"] == factor["exit"] == 0
