@@ -39,7 +39,7 @@ over 400-800 nm at `min_pixels`. The read-back samples must equal the written on
 for bit.
 
 `run` plans `--n` over 400-800 nm with `python -m curlicue plan --emit-configs`, then
-runs `curlicue simulate @run_K.args --out run.csv` and `curlicue factor
+runs `curlicue simulate @run_{K+1}.args --out run.csv` (run K of the plan) and `curlicue factor
 --interferogram run.csv --n N`, each in a fresh process, and reports each command's
 exit code, wall time and peak RSS (`ru_maxrss`). A last process simulates the run
 again in the library, hashes its samples, frees them, reads run.csv back and hashes
@@ -239,7 +239,9 @@ def _run(args, sources: list[str], work: str):
     src, runs, spectrum = sources[0], os.path.join(work, "runs"), os.path.join(work, "run.csv")
     _python(src, "-m", "curlicue", "plan", "--n", args.n, "--lambda-min", "400", "--lambda-max", "800",
             "--emit-configs", runs)
-    record = _child(src, "command", "simulate", f"@{os.path.join(runs, f'run_{args.run:03d}.args')}", "--out", spectrum)
+    # plan --emit-configs numbers its files from 1: run K of the plan is run_{K+1}.args
+    config = os.path.join(runs, f"run_{args.run + 1:03d}.args")
+    record = _child(src, "command", "simulate", f"@{config}", "--out", spectrum)
     yield {"src": src, "command": "simulate", **record, "file_mb": os.path.getsize(spectrum) / 1e6}
     record = _child(src, "command", "factor", "--interferogram", spectrum, "--n", args.n)
     yield {"src": src, "command": "factor", **record}

@@ -565,7 +565,7 @@ class TestPlan:
         assert pixels == [min_pixels(InterferometerConfig(run["x_nm"], spec), window) for run in payload["runs"]]
         assert payload["total_pixels"] == sum(pixels)
         # the configs carry the same counts
-        for i, count in enumerate(pixels):
+        for i, count in enumerate(pixels, 1):
             flags = (run_dir / f"run_{i:03d}.args").read_text(encoding="utf-8").split()
             assert flags[flags.index("--pixels") + 1] == str(count)
 
@@ -637,8 +637,9 @@ class TestPlan:
         assert code == 0
         capsys.readouterr()
         args_files = sorted(run_dir.glob("run_*.args"))
-        assert len(args_files) == 6
-        out = tmp_path / "run5.csv"
+        # numbered from 1: run_006.args is the last run, which holds 97
+        assert [f.name for f in args_files] == [f"run_{i:03d}.args" for i in range(1, 7)]
+        out = tmp_path / "run6.csv"
         assert main(["simulate", f"@{args_files[5]}", "--out", str(out)]) == 0
         code, payload = run_json(capsys, ["factor", "--interferogram", str(out), "--n", "9409"])
         assert code == 0
@@ -667,8 +668,8 @@ class TestPlan:
         digest = hashlib.sha256()
         for path in sorted(run_dir.iterdir()):
             digest.update(path.name.encode() + path.read_bytes())
-        # the files as written when the runs first started below trial factor 2
-        assert digest.hexdigest() == "e261c918bfda96491972bbe5a60431402bea0c2df2e4e3f7b910001c8688c59b"
+        # the files as written when the runs first started below trial factor 2, numbered from 1
+        assert digest.hexdigest() == "b50cec9e9c6c13a0d0bde3e5c7b8b295f6c9b15dc7eca97f22a56f3668c2dccb"
 
 
 class TestPlot:
@@ -961,6 +962,16 @@ def test_every_subcommand_keeps_its_flags():
     assert group.required and [a.dest for a in group._group_actions] == ["targets", "targets_file"]
 
 
+def test_main_keeps_one_parser_and_no_state_between_parses():
+    parser = curlicue.cli._parser()
+    assert curlicue.cli._parser() is parser
+    plot = ["plot", "--interferogram", "a.csv", "--out", "a.svg"]
+    assert parser.parse_args(plot + ["--n", "5", "--n", "6"]).n == [5, 6]
+    assert parser.parse_args(plot).n is None
+    assert parser.parse_args(plot + ["--n", "7"]).n == [7]
+    assert parser.parse_args(["oracle", "--n", "9"]).func is curlicue.cli._cmd_oracle
+
+
 # each subcommand's usage line at 80 columns; argparse lists a parent parser's flags first
 USAGE = {
     "simulate": """usage: curlicue simulate [-h] --lambda-min LAMBDA_MIN --lambda-max LAMBDA_MAX
@@ -1104,7 +1115,7 @@ def test_readme_quick_start_runs_as_written(tmp_path, monkeypatch, capsys):
             expected.append([int(claim[1]), int(claim[2])])
             assert json.loads(out)["factors"] == [expected[-1]], command
     assert expected == [[1131, 1157], [1133, 1153], [97, 97]]
-    assert (tmp_path / "demo.svg").is_file() and (tmp_path / "run5.csv").is_file()
+    assert (tmp_path / "demo.svg").is_file() and (tmp_path / "run6.csv").is_file()
 
 
 class TestEntryPoint:
