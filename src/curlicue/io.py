@@ -19,20 +19,26 @@ number, in a data cell or in x_nm, M and d, is read as numpy's C reader
 reads it: ASCII only and no '_', so '1_0' and non-ASCII digits are refused.
 
 Neither direction holds the whole text.  The writer formats _WRITE_ROWS rows
-at a time and writes each block before it formats the next; the reader parses
-_READ_BLOCK characters at a time, cuts each block after its last '\n' or '\r'
-(not a '\r' that ends the block, which may begin a '\r\n'), splits the block
-once and drops the lines after the cut, carries the rest into the next block,
-and copies the parsed blocks into one array at the end.
-So a write holds one block of text beyond its samples, and a read peaks at
-about twice the samples it returns (tracemalloc: 0.05x and 2.0x at 2,000,000
-px).
+at a time and writes each block before it formats the next.  The block reader
+(loads_interferogram, and read_interferogram's fallback) parses _READ_BLOCK
+characters at a time, cuts each block after its last '\n' or '\r' (not a '\r'
+that ends the block, which may begin a '\r\n'), splits the block once and
+drops the lines after the cut, carries the rest into the next block, and
+copies the parsed blocks into one array at the end.  read_interferogram first
+reads the header by the same rules and checks the rest of a plain file in
+_READ_BLOCK-byte blocks; rows that are ASCII and hold no break but '\n' and
+'\r' split alike for numpy and str.splitlines, so numpy.loadtxt then parses
+them all from the file in one C pass, and any refusal goes back to the block
+reader, which words every error.  So a write holds one block of text beyond
+its samples, and a read peaks at about twice the samples it returns
+(tracemalloc: 0.05x and 2.0x at 2,000,000 px).
 """
 
 from __future__ import annotations
 
 import os
-from typing import Iterable, Iterator, Union
+import stat
+from typing import Iterable, Iterator, Optional, Union
 
 import numpy as np
 
@@ -45,7 +51,9 @@ _COLUMNS = "lambda_nm,intensity"
 _CORE_KEYS = ("x_nm", "M", "d")
 _ORDERED_PROVENANCE = ("r_nm", "seed", "mirror_sigma_nm", "detector_sigma")
 _WRITE_ROWS = 8192  # rows formatted per block of text written
-_READ_BLOCK = 1 << 18  # characters of text parsed per block read
+_READ_BLOCK = 1 << 18  # characters of text parsed, or bytes of a file checked, per block read
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")  # numpy.loadtxt opens a path so named decompressed
+_BREAKS = b"\x0b\x0c\x1c\x1d\x1e"  # the ASCII breaks of str.splitlines besides '\n' and '\r'
 
 
 def _check_provenance(provenance: dict) -> None:
@@ -116,6 +124,41 @@ def _bad_row(lines: list[str], lineno: int, exc: ValueError) -> FileFormatError:
     return FileFormatError(f"non-numeric data: {exc}")  # _plain and float() refuse what numpy does
 
 
+def _header_line(header: dict[str, str], line: str, lineno: int) -> bool:
+    """Read line lineno of the header into header; True if it is the column header, after which
+    the data rows follow.  Raises FileFormatError on a line the header may not hold there."""
+    if lineno == 1:
+        if line.strip() != VERSION_LINE:
+            raise FileFormatError(f"first line must be {VERSION_LINE!r}")
+    elif line.lstrip().startswith("#"):
+        body = line.lstrip()[1:].strip()
+        key, sep, value = (part.strip() for part in body.partition("="))
+        if not sep or not key:
+            raise FileFormatError(f"malformed header line {lineno}: {line!r}")
+        if key in header:
+            raise FileFormatError(f"header line {lineno} repeats key {key!r}")
+        header[key] = value
+    elif line.strip() == _COLUMNS:
+        return True
+    else:
+        raise FileFormatError(f"expected column header {_COLUMNS!r} after the header block")
+    return False
+
+
+def _fields(header: dict[str, str]) -> tuple[float, SumSpec, dict[str, str]]:
+    """x_nm, the SumSpec and the provenance of a whole header; FileFormatError if a core key is
+    missing or its value is not a number."""
+    for key in _CORE_KEYS:
+        if key not in header:
+            raise FileFormatError(f"missing required header key {key!r}")
+    try:
+        x_nm = float(_plain(header["x_nm"]))
+        spec = SumSpec(int(_plain(header["M"])), int(_plain(header["d"])))
+    except ValueError as exc:
+        raise FileFormatError(f"bad header value: {exc}") from None
+    return x_nm, spec, {k: v for k, v in header.items() if k not in _CORE_KEYS}
+
+
 def _lines(chunks: Iterable[str]) -> Iterator[list[str]]:
     """The lines of the text that chunks make up, as str.splitlines gives them, in one list per
     chunk that holds a cut.
@@ -151,23 +194,8 @@ def _parse(chunks: Iterable[str]) -> Interferogram:
     for lines in _lines(chunks):
         first = 0  # index of the block's first line after the header
         while not in_data and first < len(lines):
-            line, lineno = lines[first], seen + first + 1
             first += 1
-            if lineno == 1:
-                if line.strip() != VERSION_LINE:
-                    raise FileFormatError(f"first line must be {VERSION_LINE!r}")
-            elif line.lstrip().startswith("#"):
-                body = line.lstrip()[1:].strip()
-                key, sep, value = (part.strip() for part in body.partition("="))
-                if not sep or not key:
-                    raise FileFormatError(f"malformed header line {lineno}: {line!r}")
-                if key in header:
-                    raise FileFormatError(f"header line {lineno} repeats key {key!r}")
-                header[key] = value
-            elif line.strip() == _COLUMNS:
-                in_data = True
-            else:
-                raise FileFormatError(f"expected column header {_COLUMNS!r} after the header block")
+            in_data = _header_line(header, lines[first - 1], seen + first)
         rows = list(filter(str.strip, lines[first:]))
         if rows:  # loadtxt warns on an empty block
             try:
@@ -182,15 +210,7 @@ def _parse(chunks: Iterable[str]) -> Interferogram:
         raise FileFormatError(f"first line must be {VERSION_LINE!r}")
     if not in_data:
         raise FileFormatError(f"expected column header {_COLUMNS!r} after the header block")
-    for key in _CORE_KEYS:
-        if key not in header:
-            raise FileFormatError(f"missing required header key {key!r}")
-    try:
-        x_nm = float(_plain(header["x_nm"]))
-        spec = SumSpec(int(_plain(header["M"])), int(_plain(header["d"])))
-    except ValueError as exc:
-        raise FileFormatError(f"bad header value: {exc}") from None
-    provenance = {k: v for k, v in header.items() if k not in _CORE_KEYS}
+    x_nm, spec, provenance = _fields(header)
     # the blocks go into one column-major array, which the Interferogram takes without a copy;
     # too few samples are refused there
     samples = np.empty((sum(map(len, parts)), 2), order="F")
@@ -236,13 +256,68 @@ def write_interferogram(ig: Interferogram, path: Union[str, os.PathLike]) -> Non
         raise
 
 
+def _stamp(st: os.stat_result) -> tuple[int, int, int, int]:
+    """The file a stat describes and its size and mtime: equal stamps, the same bytes."""
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
+
+
+def _read_rows(path: Union[str, os.PathLike]) -> Optional[Interferogram]:
+    """read_interferogram's fast path: the header read by _header_line, then every data row split
+    and parsed by numpy's C reader straight from the file, with no Python string per line.
+
+    None wherever it cannot vouch that _parse gives the same, and then _parse reads the file: a
+    path that is not a regular file, or that numpy would open through a decompressor; a header
+    line that is not UTF-8, is over _READ_BLOCK bytes or holds a break that str.splitlines takes
+    and a text file's '\n' does not; a header _parse refuses; data that is not ASCII, holds one of
+    _BREAKS or holds no row (numpy warns on that); a row numpy refuses (a line of blanks among
+    them); a value check; a file whose stat changed while it was read.  Past those checks both
+    readers see the same lines, '\r\n' and '\r' made '\n', and numpy parses each non-empty one.
+    """
+    try:
+        real = os.path.realpath(os.fsdecode(path))  # no URL for numpy, and the suffix it goes by
+        before = os.stat(real)
+        if real.endswith(_COMPRESSED) or not stat.S_ISREG(before.st_mode):
+            return None
+        header: dict[str, str] = {}
+        skip, in_data, rows = 0, False, False
+        with open(real, "rb") as fh:
+            while not in_data:
+                raw = fh.readline(_READ_BLOCK)
+                line = raw.decode("utf-8").removesuffix("\n").removesuffix("\r")
+                if not raw.endswith(b"\n") or line.splitlines() != [line]:
+                    return None
+                skip += 1
+                in_data = _header_line(header, line, skip)
+            for block in iter(lambda: fh.read(_READ_BLOCK), b""):
+                if not block.isascii() or any(brk in block for brk in _BREAKS):
+                    return None
+                rows = rows or not block.isspace()
+        if not rows:
+            return None
+        samples = np.loadtxt(real, delimiter=",", comments=None, skiprows=skip, ndmin=2, encoding="utf-8")
+        if _stamp(os.stat(real)) != _stamp(before):
+            return None
+        samples = np.asfortranarray(samples)  # the row-major result goes once it is copied
+        x_nm, spec, provenance = _fields(header)
+        return Interferogram._adopt(x_nm, spec, samples, provenance)
+    except (OSError, ValueError, FileFormatError):
+        return None
+
+
 def read_interferogram(path: Union[str, os.PathLike]) -> Interferogram:
     """Read a v1 file; raises FileFormatError on any deviation, or on text that is not UTF-8.
 
-    Cost: as loads_interferogram, without the text: the file is read _READ_BLOCK characters at
-    a time, so the peak is about twice the samples.  Blocks are checked as they are read, so a
+    Cost: a plain file of ASCII rows (see _read_rows) is read twice, once in _READ_BLOCK-byte
+    blocks to check its bytes and once by numpy.loadtxt, which splits and parses every row in
+    C; the peak is twice the samples, numpy's row-major result and its column-major copy.  Any
+    other file, and any file numpy or a value check refuses, is read as loads_interferogram
+    reads its text, _READ_BLOCK characters at a time, also at about twice the samples; every
+    value and message comes from that reader.  Its blocks are checked as they are read, so a
     file with a format fault before its first byte that is not UTF-8 reports the format fault.
     """
+    ig = _read_rows(path)
+    if ig is not None:
+        return ig
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return _parse(iter(lambda: fh.read(_READ_BLOCK), ""))

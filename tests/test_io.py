@@ -1,8 +1,10 @@
 import errno
 import hashlib
+import os
 import random
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -564,6 +566,118 @@ def test_blocks_read_as_the_whole_text(block, monkeypatch, tmp_path):
         assert _outcome(read_interferogram, path) == want, text
         outcomes.add(want if isinstance(want, str) else "parsed")
     assert len(outcomes) > 20, outcomes
+
+
+def _block_reader_called(chunks):
+    raise AssertionError("the block reader ran")
+
+
+def test_plain_files_are_read_by_one_numpy_pass(tmp_path, monkeypatch):
+    # a simulate-written file over five read blocks, its '\r\n' twin and a file with a UTF-8
+    # provenance line: numpy.loadtxt parses their rows straight from the file, and the block
+    # reader, the fallback, never runs
+    ig = simulate(InterferometerConfig(235225.0, SumSpec(3, 2)), SpectralWindow(400.0, 800.0, 31471))
+    named = Interferogram(
+        ig.displacement_unit_nm, ig.sum_spec, ig.samples, {**ig.provenance, "operator": "Jérôme"}
+    )
+    plain, crlf, utf8 = tmp_path / "plain.csv", tmp_path / "crlf.csv", tmp_path / "utf8.csv"
+    write_interferogram(ig, plain)
+    crlf.write_bytes(plain.read_bytes().replace(b"\n", b"\r\n"))
+    write_interferogram(named, utf8)
+    assert plain.stat().st_size > 4 * curlicue.io._READ_BLOCK
+    monkeypatch.setattr(curlicue.io, "_parse", _block_reader_called)
+    for path, want in ((plain, ig), (crlf, ig), (utf8, named)):
+        got = read_interferogram(path)
+        assert got == want and got.samples.tobytes() == want.samples.tobytes(), path.name
+        assert got.samples.flags.f_contiguous
+
+
+@pytest.mark.parametrize("rows", ["", "\n\n\n", "\r\n\r\n", "\n \t\n\n"], ids=["none", "lf", "crlf", "blanks"])
+def test_a_file_without_data_rows_warns_nothing(rows, tmp_path, capsys):
+    # numpy.loadtxt warns on a file that holds no data row; such a file goes to the block reader,
+    # which refuses it as too short and prints nothing but the error
+    path = tmp_path / "nodata.csv"
+    path.write_bytes(f"{VERSION_LINE}\n# x_nm=10\n# M=2\n# d=2\n{_COLUMNS}\n{rows}".encode())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FileFormatError, match="^an interferogram needs at least 2 samples$"):
+            read_interferogram(path)
+        assert main(["factor", "--interferogram", str(path), "--n", "1308567"]) == 2
+    assert capsys.readouterr() == ("", "error: an interferogram needs at least 2 samples\n")
+
+
+def _guard_cases(tmp_path) -> list[tuple[str, os.PathLike, bool]]:
+    """(name, path, whether numpy reads it) for files that numpy must leave to the block reader, and
+    for the plain file reached by a symlink and through '..'.  The text spans two read blocks, and
+    every fault in a data row lies past the first 2**18 bytes."""
+    head = "\n".join(FUZZ_LINES[: FUZZ_LINES.index(_COLUMNS) + 1]) + "\n"
+    rows = [f"{400 + k / 64!r},0.5\n" for k in range(30000)]
+    late = 25000
+    assert len("".join([head, *rows[:late]])) > 1 << 18
+    texts = {"plain.csv": "".join([head, *rows])}
+    for brk in "\x0b\x0c\x1c\x1d\x1e":
+        # numpy strips the break from the cell after it, where str.splitlines ends the row
+        broken = rows[late].replace(",", "," + brk)
+        texts[f"break{ord(brk):02x}.csv"] = "".join([head, *rows[:late], broken, *rows[late + 1 :]])
+    for brk in "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029":
+        # str.splitlines makes two header lines of one that a binary readline gives whole
+        texts[f"head{ord(brk):04x}.csv"] = "".join([head.replace("# seed=0", f"# seed=0{brk}# note=1"), *rows])
+    texts["blanks.csv"] = "".join([head, *rows[:late], " \t\n", *rows[late:]])
+    texts["descending.csv"] = "".join([head, *rows[:late], rows[late + 1], rows[late], *rows[late + 2 :]])
+    cases = []
+    for name, text in texts.items():
+        (tmp_path / name).write_text(text)
+        cases.append((name, tmp_path / name, name == "plain.csv"))
+    raw = (tmp_path / "plain.csv").read_bytes()
+    for suffix in (".gz", ".bz2", ".xz", ".lzma"):
+        (tmp_path / f"plain.csv{suffix}").write_bytes(raw)
+        cases.append((suffix, tmp_path / f"plain.csv{suffix}", False))
+    cut = raw.index(rows[late].encode())
+    (tmp_path / "latin1.csv").write_bytes(raw[:cut] + b"\xff" + raw[cut + 1 :])
+    cases.append(("latin1", tmp_path / "latin1.csv", False))
+    os.symlink(tmp_path / "plain.csv", tmp_path / "link.csv")
+    os.symlink(tmp_path / "plain.csv.gz", tmp_path / "link_gz.csv")
+    (tmp_path / "sub").mkdir()
+    cases += [
+        ("symlink", tmp_path / "link.csv", True),
+        ("symlink to .gz", tmp_path / "link_gz.csv", False),
+        ("dot-dot", tmp_path / "sub" / ".." / "plain.csv", True),
+    ]
+    return cases
+
+
+def test_numpy_reads_only_what_the_block_reader_reads_alike(tmp_path):
+    # each file gives the whole-text parser's outcome on its text; numpy reads it only where its
+    # name, its bytes and its rows allow, and leaves the rest to the block reader
+    outcomes = set()
+    for name, path, fast in _guard_cases(tmp_path):
+        try:
+            want = _outcome(_whole_text_loads, path.read_bytes().decode("utf-8"))
+        except UnicodeDecodeError:
+            want = "not UTF-8 text"
+        got = _outcome(read_interferogram, path)
+        if isinstance(got, str) and got.startswith("not UTF-8 text: "):
+            got = "not UTF-8 text"
+        assert got == want, name
+        assert (curlicue.io._read_rows(path) is not None) == fast, name
+        outcomes.add(want if isinstance(want, str) else "parsed")
+    assert len(outcomes) == 4, outcomes
+
+
+def test_a_file_changed_while_numpy_reads_it_goes_to_the_block_reader(tmp_path, monkeypatch):
+    # the bytes numpy parses must be the bytes that were checked: here a '\f' comes into a row
+    # after the check, which numpy would strip as a blank and the block reader reads as a break
+    path = tmp_path / "changing.csv"
+    path.write_text(f"{VERSION_LINE}\n# x_nm=10\n# M=2\n# d=2\n{_COLUMNS}\n400.0,0.1\n401.0,0.1\n")
+    loadtxt = np.loadtxt
+
+    def edit_then_load(fname, **kwargs):
+        path.write_text(path.read_text().replace("401.0,0.1", "401.0,\f0.1"))
+        return loadtxt(fname, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", edit_then_load)
+    with pytest.raises(FileFormatError, match="^line 7: non-numeric data '401.0,'$"):
+        read_interferogram(path)
 
 
 def test_line_blocks_split_as_splitlines():
