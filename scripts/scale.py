@@ -32,7 +32,10 @@ sources in reverse order). Each record has `round`, `src`, `path` and `targets`:
 
 `ladder` builds each spectrum for every `--src` in turn and reports the tracemalloc
 peaks of `write_interferogram`, `read_interferogram` and `loads_interferogram` (beyond
-the text it is given) as multiples of the samples, with their times under tracemalloc.
+the text it is given) as multiples of the samples, with their times under tracemalloc,
+and `write_untraced_s`, the time of a second write without it: tracemalloc slows a
+writer that builds a Python string per row far more than one that fills numpy buffers,
+so a traced write time alone overstates the gap between two such writers.
 A spectrum is either `--pixels N`, the noiseless 3-arm, d = 2 spectrum at x = 2.9e6 nm
 over 400-800 nm with N pixels, or `--plan-run N:K`, run K of `plan_single_number(N)`
 over 400-800 nm at `min_pixels`. The read-back samples must equal the written ones bit
@@ -152,6 +155,9 @@ def ladder(kind: str, value: str, path: str) -> dict:
     size = ig.samples.nbytes
     _, peak, took = _traced(lambda: write_interferogram(ig, path))
     record.update(text_mb=os.path.getsize(path) / 1e6, write_peak_x=peak / size, write_s=took)
+    start = time.perf_counter()
+    write_interferogram(ig, path)
+    record["write_untraced_s"] = time.perf_counter() - start
     back, peak, took = _traced(lambda: read_interferogram(path))
     assert back.samples.tobytes() == ig.samples.tobytes()
     del back

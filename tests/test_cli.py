@@ -1118,6 +1118,23 @@ def test_readme_quick_start_runs_as_written(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "demo.svg").is_file() and (tmp_path / "run6.csv").is_file()
 
 
+def readme_v1_example() -> list[str]:
+    """The lines of the README's v1 example, up to the '...' that ends it."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Interferogram file format (v1)", 1)[1]
+    lines = section.split("```\n", 1)[1].split("```", 1)[0].splitlines()
+    return lines[: lines.index("...")]
+
+
+def test_readme_v1_example_is_what_the_quick_start_writes(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    simulate_demo = readme_quick_start()[0]
+    assert main(shlex.split(simulate_demo)[1:]) == 0
+    example = readme_v1_example()
+    assert example[-3] == "lambda_nm,intensity"  # the whole header and two rows
+    assert (tmp_path / "demo.csv").read_text(encoding="utf-8").splitlines()[: len(example)] == example
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         out = tmp_path / "m.csv"

@@ -1,10 +1,12 @@
 import errno
 import hashlib
+import math
 import os
 import random
 import re
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from curlicue import (
     interferogram_svg,
     loads_interferogram,
     min_pixels,
+    plan_single_number,
     read_interferogram,
     simulate,
     write_interferogram,
@@ -462,6 +465,129 @@ def test_cli_session_size_spectrum_round_trips_bit_for_bit():
     assert len(ig.samples) > 125_000
     assert parsed == ig
     assert parsed.samples.tobytes() == ig.samples.tobytes()
+
+
+def _repr_rows(lam: np.ndarray, inten: np.ndarray) -> str:
+    """The v1 rows as the writer gave them before they were formatted in numpy."""
+    return "".join([f"{w!r},{i!r}\n" for w, i in zip(lam.tolist(), inten.tolist())])
+
+
+def _differential_values() -> dict[str, np.ndarray]:
+    """Seeded float64 values, over a million of them, that the row formatter must write as repr."""
+    rng = np.random.default_rng(3501)
+    fast = np.array([1e-4, 1e16]).view(np.int64)
+    powers = 2.0 ** np.arange(-1074, 1024)
+    up = down = np.array([float(f"1e{k}") for k in range(-5, 17)])
+    tens = [up]
+    for _ in range(50):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, 0.0)
+        tens += [up, down]
+    lamp = SpectralWindow(400.0, 800.0)
+    grids = [
+        SpectralWindow(400.0, 800.0, min_pixels(InterferometerConfig(run.x_nm, SumSpec(3, 2)), lamp)).pixel_centers()
+        for run in plan_single_number(9409, lamp).runs
+    ]
+    noisy = simulate(
+        InterferometerConfig(235225.0, SumSpec(3, 2)),
+        SpectralWindow(400.0, 800.0, 31471),
+        NoiseModel(mirror_sigma_nm=50.0, detector_sigma=0.3, seed=7),
+    )
+    return {
+        # every non-negative finite bit pattern: subnormals, and most of them below 1e-4 or from 1e16
+        "bit patterns": rng.integers(0, 0x7FF0000000000000, 200_000, dtype=np.uint64).view(np.float64),
+        "bit patterns in [1e-4, 1e16)": rng.integers(fast[0], fast[1], 300_000).view(np.float64),
+        "uniform [0, 1)": rng.random(200_000),
+        "400-800 nm": rng.uniform(400.0, 800.0, 100_000),
+        "powers of two and neighbours": np.concatenate(
+            [powers, np.nextafter(powers, np.inf), np.nextafter(powers, 0.0)]
+        ),
+        "neighbours of 10**k": np.concatenate(tens),
+        # an odd integer from 2**53 on lies halfway between two doubles: the even one it reads as
+        # has it as an end of its rounding interval
+        "interval ends": (rng.integers(2**52, 5 * 10**15, 50_000) * 2 + 1).astype(np.float64),
+        "zeros": np.zeros(5),
+        "plan grids of 9409": np.concatenate(grids),
+        # simulate clips detector noise to [0, 1 + 5 sigma]
+        "clipped detector noise": np.concatenate([noisy.intensities(), 1.0 + 5.0 * np.arange(1, 101) / 100]),
+    }
+
+
+_SOME_INSIDE = ("bit patterns", "bit patterns in [1e-4, 1e16)", "powers of two and neighbours", "neighbours of 10**k")
+
+
+def test_rows_are_formatted_as_repr_formats_them(monkeypatch):
+    # each value is written once as a wavelength and once as an intensity, a write block at a time
+    values = _differential_values()
+    assert sum(map(len, values.values())) > 10**6
+    assert np.count_nonzero(values["clipped detector noise"] == 0.0) > 1000
+    tables = curlicue.io._format_tables()
+    fallback = []
+    monkeypatch.setattr(curlicue.io, "repr", lambda v: fallback.append(v) or repr(v), raising=False)
+    for name, column in values.items():
+        fallback.clear()
+        lam, inten = column, column[::-1].copy()
+        for start in range(0, len(column), curlicue.io._WRITE_ROWS):
+            rows = slice(start, start + curlicue.io._WRITE_ROWS)
+            got = curlicue.io._rows_text(lam[rows], inten[rows], tables)
+            want = _repr_rows(lam[rows], inten[rows])
+            if got != want:
+                pairs = zip(got.splitlines(), want.splitlines())
+                pytest.fail(f"{name}: {next((g, w) for g, w in pairs if g != w)}")
+        # repr() takes only the values the formatter cannot vouch for: every one outside [1e-4, 1e16)
+        # but 0.0, and a few inside, ties between two shortest digit strings (as from about 1e12 on)
+        # and values within an ulp or so below a power of ten
+        outside = np.count_nonzero(((column < 1e-4) | (column >= 1e16)) & (column != 0.0))
+        inside = len(fallback) // 2 - outside
+        assert 0 <= inside <= (0.02 * len(column) if name in _SOME_INSIDE else 0), (name, inside)
+
+
+def test_scaled_intervals_match_exact_rationals():
+    # each value in [1e-4, 1e16), scaled, is hi + lo exactly, and its rounding interval holds the
+    # integers _ends gives: half a gap to each neighbour, a quarter below a power of two, the ends in
+    # only for an even significand; from 2**53 on the ends are odd integers, so the parity shows
+    rng = np.random.default_rng(3502)
+    fast = np.array([1e-4, 1e16]).view(np.int64)
+    x = np.concatenate([
+        rng.integers(fast[0], fast[1], 3000).view(np.float64),
+        2.0 ** np.arange(-13, 54),
+        np.arange(2**53 - 40, 2**53 + 40, dtype=np.int64).astype(np.float64),
+        9.9e15 + np.arange(0, 80, 2.0),
+    ])
+    e, hi, lo, scale = curlicue.io._scaled(x, curlicue.io._format_tables())
+    lowest, highest = curlicue.io._ends(x, lo, scale)
+    checked = 0
+    for v, k, h, l, low, high in zip(*(a.tolist() for a in (x, 16 - e, hi, lo, lowest, highest))):
+        s = Fraction(h) + Fraction(l)
+        assert s == Fraction(v) * 10**k
+        if not 10**16 <= s < 10**17:
+            continue  # hi rounded onto 1e16 from below, a value _shortest does not vouch for
+        below = (Fraction(v) - Fraction(np.nextafter(v, 0.0))) / 2 * 10**k
+        above = (Fraction(np.nextafter(v, np.inf)) - Fraction(v)) / 2 * 10**k
+        if np.float64(v).view(np.int64) % 2:
+            least, greatest = math.floor(s - below) + 1, math.ceil(s + above) - 1
+        else:
+            least, greatest = math.ceil(s - below), math.floor(s + above)
+        assert (low, high) == (least - int(h), greatest - int(h)), v
+        checked += 1
+    assert checked > 3000
+
+
+def _fallback_called(value):
+    raise AssertionError(f"repr() ran on {value!r}")
+
+
+def test_noiseless_spectra_are_formatted_without_repr(monkeypatch):
+    # the cli_session-size spectrum and the README's demo: the formatter vouches for every value
+    lamp = SpectralWindow(400.0, 800.0)
+    config = InterferometerConfig(940100.0, SumSpec(3, 2))
+    spectra = [
+        simulate(config, SpectralWindow(400.0, 800.0, min_pixels(config, lamp))),
+        simulate(InterferometerConfig(DEMO_X_NM, SumSpec(3, 2)), SpectralWindow(*DEMO_WINDOW, 2048)),
+    ]
+    wants = [_repr_rows(ig.wavelengths(), ig.intensities()) for ig in spectra]
+    monkeypatch.setattr(curlicue.io, "repr", _fallback_called, raising=False)
+    for ig, want in zip(spectra, wants):
+        assert dumps_interferogram(ig).split(f"{_COLUMNS}\n")[1] == want
 
 
 def _whole_text_loads(text: str) -> Interferogram:

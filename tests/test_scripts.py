@@ -14,8 +14,8 @@ ROOT = Path(__file__).resolve().parents[1]
 SCALE = ROOT / "scripts" / "scale.py"
 SRC = str(ROOT / "src")
 
-LADDER_KEYS = ["src", "pixels", "samples_mb", "text_mb", "write_peak_x", "write_s", "read_peak_x", "read_s",
-               "loads_peak_x", "loads_s"]
+LADDER_KEYS = ["src", "pixels", "samples_mb", "text_mb", "write_peak_x", "write_s", "write_untraced_s", "read_peak_x",
+               "read_s", "loads_peak_x", "loads_s"]
 COMMAND_KEYS = ["src", "command", "exit", "wall_s", "peak_rss_mb"]
 SHA256_KEYS = ["src", "command", "pixels", "samples_mb", "simulate_sha256", "read_back_sha256"]
 
@@ -38,6 +38,7 @@ def test_ladder_records(tmp_path):
     (record,) = _records(tmp_path, "ladder", "--pixels", 20000)
     assert list(record) == LADDER_KEYS
     assert record["src"] == SRC and record["pixels"] == 20000 and record["samples_mb"] == 0.32
+    assert record["write_untraced_s"] > 0
 
 
 def test_run_records_and_hashes(tmp_path):
